@@ -27,10 +27,11 @@ from .dynamics import (BoundaryEvent, GeodesicTrajectory, LambdaEstimate,
                        reverse_initial_conditions)
 from .ige import (FitReport, GrowthFit, IGESeries, RateComparison,
                   compare_rates, fit_growth, volume_series)
-from .spinchain import (ChainSpec, HistogramData, LsdResult, SpectrumRecord,
-                        analyze_chain, build_hamiltonian, diagonalize,
-                        ks_distance, lsd_verdict, max_spins,
-                        poisson_spacing_cdf, poisson_spacing_pdf,
+from .spinchain import (ChainSpec, HistogramData, LsdResult, SpacingRatio,
+                        SpectrumRecord, analyze_chain, build_hamiltonian,
+                        diagonalize, ks_distance, lsd_verdict, max_spins,
+                        mean_spacing_ratio, poisson_spacing_cdf,
+                        poisson_spacing_pdf,
                         reflection_basis, spacing_histogram, unfold,
                         wigner_spacing_cdf, wigner_spacing_pdf)
 

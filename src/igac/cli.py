@@ -480,7 +480,7 @@ def cmd_chain(cfg: dict) -> int:
         "levels": int(len(record.eigenvalues)),
         "spacing_count": int(len(record.unfolded_spacings)),
         "ks_poisson": record.ks_poisson, "ks_wigner": record.ks_wigner,
-        "verdict": record.verdict})
+        "verdict": record.verdict, "r_mean": record.r_mean})
     if cfg["plot"]:
         hist = spinchain.spacing_histogram(record.unfolded_spacings,
                                            int(cfg["bins"]))

@@ -138,6 +138,7 @@ def test_chain_small_run(tmp_path):
     rep = read_json(out / "chain.json")
     assert rep["kind"] == "chain_verdict"
     assert rep["verdict"] == "wigner_like"
+    assert abs(rep["r_mean"] - 0.531) < abs(rep["r_mean"] - 0.386)
     assert (out / "eigenvalues.csv").exists()
     assert (out / "spacings.csv").exists()
     assert (out / "chain.svg").exists()

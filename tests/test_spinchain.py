@@ -2,14 +2,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from igac import (InsufficientDataError, ResourceError, ValidationError,
                   analyze_chain, build_hamiltonian, diagonalize, ks_distance,
-                  lsd_verdict, max_spins, poisson_spacing_cdf,
-                  reflection_basis, spacing_histogram, unfold,
-                  wigner_spacing_cdf)
+                  lsd_verdict, max_spins, mean_spacing_ratio,
+                  poisson_spacing_cdf, reflection_basis, spacing_histogram,
+                  unfold, wigner_spacing_cdf)
+from igac import spinchain
 from igac.errors import FitError
-from igac.spinchain import ChainSpec
+from igac.spinchain import SECTORS, ChainSpec
+
+R_POISSON = 2.0 * math.log(2.0) - 1.0
+R_GOE = 0.531
 
 
 def spectrum(n, hx, hy, sector="full"):
@@ -27,6 +34,61 @@ def sample_wigner_levels(count, seed):
     u = rng.random(count)
     spacings = np.sqrt(-(4.0 / math.pi) * np.log1p(-u))
     return np.cumsum(spacings)
+
+
+def complex_hamiltonian(spec):
+    """Reference oracle: the complex builder, h_y sy in the unrotated basis."""
+    n, h_x, h_y = spec.n, spec.h_x, spec.h_y
+    dim = 1 << n
+    cols = np.arange(dim, dtype=np.int64)
+    rows_all, cols_all, data_all = [], [], []
+    for j in range(n - 1):
+        flip = (1 << j) | (1 << (j + 1))
+        rows_all.append(cols ^ flip)
+        cols_all.append(cols)
+        data_all.append(np.ones(dim, dtype=complex))
+    if h_x != 0.0:
+        for j in range(n):
+            rows_all.append(cols ^ (1 << j))
+            cols_all.append(cols)
+            data_all.append(np.full(dim, h_x, dtype=complex))
+    if h_y != 0.0:
+        for j in range(n):
+            bit = (cols >> j) & 1
+            rows_all.append(cols ^ (1 << j))
+            cols_all.append(cols)
+            data_all.append(1j * h_y * np.where(bit == 0, 1.0, -1.0))
+    if not rows_all:
+        h = sp.csr_matrix((dim, dim), dtype=complex)
+    else:
+        h = sp.csr_matrix(
+            (np.concatenate(data_all),
+             (np.concatenate(rows_all), np.concatenate(cols_all))),
+            shape=(dim, dim))
+    if spec.sector == "full":
+        return h.toarray()
+    even, odd = reflection_basis(n)
+    basis = even if spec.sector == "reflection_even" else odd
+    return (basis.conj().T @ h @ basis).toarray()
+
+
+FIELD = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), h_x=FIELD, h_y=FIELD,
+       sector=st.sampled_from(SECTORS))
+@example(n=1, h_x=1, h_y=0, sector="full")  # integer fields stay float64
+def test_real_frame_matches_complex_oracle(n, h_x, h_y, sector):
+    spec = ChainSpec(n, h_x, h_y, sector=sector)
+    h = build_hamiltonian(spec)
+    assert h.dtype == np.float64
+    assert np.array_equal(h, h.T)
+    oracle = complex_hamiltonian(spec)
+    assert h.shape == oracle.shape
+    if h.size:
+        gap = np.max(np.abs(diagonalize(h) - np.linalg.eigvalsh(oracle)))
+        assert gap < 1e-9
 
 
 def test_single_spin_tilted_field():
@@ -64,6 +126,27 @@ def test_diagonalize_rejects_non_hermitian():
         diagonalize(np.zeros((2, 3)))
 
 
+def test_diagonalize_checks_every_row_block():
+    # The Hermitian check runs over row blocks; asymmetries deep in the
+    # matrix, where neither entry of the pair lies in the first rows, count.
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(600, 600))
+    sym = a + a.T
+    for (i, j) in [(599, 3), (599, 300)]:
+        bad = sym.copy()
+        bad[i, j] += 1e-9
+        with pytest.raises(ValidationError):
+            diagonalize(bad)
+    within = sym.copy()
+    within[599, 300] += 1e-13
+    assert len(diagonalize(within)) == 600
+    for value in (np.nan, np.inf):
+        bad = sym.copy()
+        bad[599, 599] = value
+        with pytest.raises(ValidationError):
+            diagonalize(bad)
+
+
 def test_trace_zero_exact():
     for (n, hx, hy) in [(3, 0.7, 0.0), (5, 1.0, 1.0), (6, 0.0, 2.0)]:
         h = build_hamiltonian(ChainSpec(n, hx, hy, sector="full"))
@@ -76,6 +159,8 @@ def test_sector_dimensions():
         n_sym = 2 ** ((n + 1) // 2)
         assert even.shape[1] == (2 ** n + n_sym) // 2
         assert odd.shape[1] == (2 ** n - n_sym) // 2
+        assert spinchain._sector_dim(n, "reflection_even") == even.shape[1]
+        assert spinchain._sector_dim(n, "reflection_odd") == odd.shape[1]
         # columns orthonormal
         for basis in (even, odd):
             if basis.shape[1]:
@@ -111,6 +196,17 @@ def test_resource_guard_and_env_override(monkeypatch):
     monkeypatch.setenv("IGAC_MAX_N", "notanint")
     with pytest.raises(ValidationError):
         max_spins()
+
+
+def test_resource_guard_on_memory(monkeypatch):
+    monkeypatch.setattr(spinchain, "_physical_memory_bytes", lambda: 1_000_000)
+    # d = 136: 2 * 136^2 * 8 bytes = 0.30 MB fits; d = 256 (1.05 MB) does not.
+    assert build_hamiltonian(ChainSpec(8, 1.0, 1.0)).shape == (136, 136)
+    with pytest.raises(ResourceError, match=r"d=256 .*GB"):
+        build_hamiltonian(ChainSpec(8, 1.0, 1.0, sector="full"))
+    monkeypatch.setattr(spinchain, "_physical_memory_bytes", lambda: None)
+    assert build_hamiltonian(ChainSpec(8, 1.0, 1.0, sector="full")).shape \
+        == (256, 256)
 
 
 def test_chain_spec_validation():
@@ -227,3 +323,29 @@ def test_level_repulsion_small_spacing_suppression():
     hist = spacing_histogram(rec.unfolded_spacings, 40)
     small = hist.densities[hist.centers < 0.15]
     assert np.all(small < 0.4)
+
+
+def test_mean_spacing_ratio_poisson_synthetic():
+    ratio = mean_spacing_ratio(sample_poisson_levels(10_000, seed=42))
+    assert abs(ratio.mean - R_POISSON) < 0.01
+    assert ratio.pairs == 10_000 - 2 and ratio.skipped == 0
+
+
+def test_mean_spacing_ratio_chains():
+    chaotic = mean_spacing_ratio(spectrum(10, 1.0, 1.0, "reflection_even"))
+    assert abs(chaotic.mean - R_GOE) < abs(chaotic.mean - R_POISSON)
+    regular = mean_spacing_ratio(spectrum(10, 0.0, 2.0, "reflection_even"))
+    assert abs(regular.mean - R_POISSON) < abs(regular.mean - R_GOE)
+    rec = analyze_chain(ChainSpec(10, 1.0, 1.0, sector="reflection_even"))
+    assert rec.r_mean == chaotic.mean
+
+
+def test_mean_spacing_ratio_zero_spacing_pairs():
+    # Spacings 0, 0, 1, 2: the (0, 0) pair is undefined and skipped; the
+    # others give 0/1 and 1/2.
+    ratio = mean_spacing_ratio([0.0, 0.0, 0.0, 1.0, 3.0])
+    assert (ratio.mean, ratio.pairs, ratio.skipped) == (0.25, 2, 1)
+    with pytest.raises(InsufficientDataError):
+        mean_spacing_ratio(np.full(10, 2.0))
+    with pytest.raises(InsufficientDataError):
+        mean_spacing_ratio([0.0, 1.0])
