@@ -2,7 +2,7 @@
 
 Subcommands: metric, curvature, geodesic, jacobi, ige, chain, report.
 Shared flags (given after the subcommand): --config, --seed, --out,
---format, --plot, --jobs.  Flag values override config-file values,
+--format, --plot.  Flag values override config-file values,
 which override built-in defaults; the effective configuration is echoed
 to run_config.json in the output directory.
 
@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +170,7 @@ def _parse_grid(text: str, fam) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 GLOBAL_DEFAULTS = {"seed": 0, "out": "igac-out", "format": "csv",
-                   "plot": False, "jobs": 1}
+                   "plot": False}
 
 COMMAND_DEFAULTS = {
     "metric": {"family": None, "point": None, "grid": None, "nodes": 200,
@@ -281,12 +280,7 @@ def cmd_metric(cfg: dict) -> int:
                / max(np.linalg.norm(closed), 1e-300))
         return closed, quad, rel
 
-    jobs = max(1, int(cfg["jobs"]))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, points))
-    else:
-        results = [evaluate(p) for p in points]
+    results = [evaluate(p) for p in points]
 
     out = _out_dir(cfg)
     dim = fam.n_params
@@ -561,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tabular data format (default csv)")
     common.add_argument("--plot", action="store_true", default=False,
                         help="emit SVG plots")
-    common.add_argument("--jobs", type=int, help="parallel jobs for sweeps")
 
     parser = argparse.ArgumentParser(
         prog="igac",

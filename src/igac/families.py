@@ -3,8 +3,12 @@
 Three atomic families appear: the exponential law (mean-parametrized,
 the spacing law of uncorrelated levels), the Wigner-Dyson surmise
 (mean-parametrized, the level-repulsion law), and the one-dimensional
-Gaussian.  Composites are independent products of atomic factors; the
-two named ones pair a spacing law with a field-energy "bath" factor:
+Gaussian.  Each atomic kind has one ``AtomicKind`` record in ``KINDS``
+holding all its closed forms: density, moments, sampler and CDF, and its
+Fisher-Rao metric, connection, curvature and sqrt(det g) factors.
+Composites are independent products of atomic factors, assembled from
+the records with no per-kind code; the two named ones pair a spacing law
+with a field-energy "bath" factor:
 
 * ``composite_integrable``: exponential(mu_A) x exponential(mu_B)
 * ``composite_chaotic``:    wigner_dyson(mu_A) x gaussian(mu_B, sigma_B)
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +34,152 @@ COMPOSITE = "composite"
 
 _POS = (0.0, math.inf)
 _REAL = (-math.inf, math.inf)
+_SCALE_BOX = (0.5, 3.0)
+_LOCATION_BOX = (-2.0, 2.0)
+
+
+@dataclass(frozen=True)
+class AtomicKind:
+    """Every closed form of one atomic family, written once.
+
+    Each form reads the family's parameters from a full parameter vector
+    ``theta`` starting at the factor's offset ``o``, so composites call
+    the records of their factors with no per-kind code.  ``metric``,
+    ``christoffel`` and ``riemann`` write the factor's block into a
+    preallocated zero tensor in place: they run on every geodesic
+    right-hand side, where allocating a block per factor would cost
+    more than the arithmetic.  ``sqrt_g`` holds one function of a single
+    coordinate per parameter, whose product is the block's sqrt(det g);
+    ``sample_box`` is a finite per-parameter box for drawing test points.
+    """
+
+    kind: str
+    param_domain: tuple[tuple[float, float], ...]
+    support: str
+    sample_box: tuple[tuple[float, float], ...]
+    log_density: Callable  # (theta, o, x) -> log p(x); -inf off the support
+    moments: Callable      # (theta, o) -> (mean, variance)
+    sample: Callable       # (theta, o, count, rng) -> draws
+    cdf: Callable          # (theta, o, x) -> P(X <= x)
+    metric: Callable       # (theta, o, g) writes g[o:o+k, o:o+k]
+    christoffel: Callable  # (theta, o, gamma) writes the block of Gamma^a_bc
+    riemann: Callable      # (theta, o, riem) writes the block of R^m_nrs
+    sqrt_g: tuple[Callable, ...]
+
+    @property
+    def n_params(self) -> int:
+        return len(self.param_domain)
+
+
+# Both spacing laws are scale families p(x) = f(x/mu)/mu: their Fisher
+# metric is c/mu^2 for a constant c, the connection is -1/mu whatever c
+# is, and the one-dimensional block is flat.
+
+def _scale_metric(c: float):
+    def metric(theta, o, g):
+        g[o, o] = c / theta[o] ** 2
+    return metric
+
+
+def _scale_christoffel(theta, o, gam):
+    gam[o, o, o] = -1.0 / theta[o]
+
+
+def _flat(theta, o, riem):
+    """A one-dimensional block carries no curvature."""
+
+
+def _wigner_dyson_log_density(theta, o, x):
+    mu = theta[o]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        body = (np.log(np.pi * x / (2.0 * mu * mu))
+                - np.pi * x * x / (4.0 * mu * mu))
+    return np.where(x > 0.0, body, -math.inf)
+
+
+def _gaussian_log_density(theta, o, x):
+    mu, sigma = theta[o], theta[o + 1]
+    return (-0.5 * math.log(2.0 * math.pi * sigma * sigma)
+            - (x - mu) ** 2 / (2.0 * sigma * sigma))
+
+
+def _gaussian_sample(theta, o, count, rng):
+    # Box-Muller on (u, u2); 1-u keeps the log argument in (0, 1].
+    u = rng.random(count)
+    u2 = rng.random(count)
+    z = np.sqrt(-2.0 * np.log1p(-u)) * np.cos(2.0 * math.pi * u2)
+    return theta[o] + theta[o + 1] * z
+
+
+def _gaussian_cdf(theta, o, x):
+    # Imported here, not with the module: scipy.special adds about 0.1 s
+    # and 6 MB to every process that imports igac, and only this form needs it.
+    from scipy.special import erf
+    return 0.5 * (1.0 + erf((x - theta[o]) / (theta[o + 1] * math.sqrt(2.0))))
+
+
+def _gaussian_metric(theta, o, g):
+    s2 = theta[o + 1] ** 2
+    g[o, o] = 1.0 / s2
+    g[o + 1, o + 1] = 2.0 / s2
+
+
+def _gaussian_christoffel(theta, o, gam):
+    s = theta[o + 1]
+    gam[o, o, o + 1] = gam[o, o + 1, o] = -1.0 / s
+    gam[o + 1, o, o] = 0.5 / s
+    gam[o + 1, o + 1, o + 1] = -1.0 / s
+
+
+def _gaussian_riemann(theta, o, riem):
+    """Constant sectional curvature -1/2: R^m_nrs = -(d^m_r g_sn - d^m_s g_rn)/2."""
+    s2 = theta[o + 1] ** 2
+    m, s = o, o + 1
+    riem[m, s, m, s] = -0.5 * (2.0 / s2)
+    riem[m, s, s, m] = 0.5 * (2.0 / s2)
+    riem[s, m, s, m] = -0.5 * (1.0 / s2)
+    riem[s, m, m, s] = 0.5 * (1.0 / s2)
+
+
+KINDS = {rec.kind: rec for rec in (
+    AtomicKind(
+        EXPONENTIAL, (_POS,), HALFLINE, (_SCALE_BOX,),
+        log_density=lambda theta, o, x: np.where(
+            x >= 0.0, -x / theta[o] - math.log(theta[o]), -math.inf),
+        moments=lambda theta, o: (theta[o], theta[o] ** 2),
+        sample=lambda theta, o, count, rng: (
+            -theta[o] * np.log1p(-rng.random(count))),
+        cdf=lambda theta, o, x: np.where(
+            x >= 0.0, -np.expm1(-x / theta[o]), 0.0),
+        metric=_scale_metric(1.0),
+        christoffel=_scale_christoffel,
+        riemann=_flat,
+        sqrt_g=(lambda v: 1.0 / v,)),
+    AtomicKind(
+        WIGNER_DYSON, (_POS,), HALFLINE, (_SCALE_BOX,),
+        log_density=_wigner_dyson_log_density,
+        moments=lambda theta, o: (
+            theta[o], (4.0 / math.pi - 1.0) * theta[o] ** 2),
+        sample=lambda theta, o, count, rng: theta[o] * np.sqrt(
+            -(4.0 / math.pi) * np.log1p(-rng.random(count))),
+        cdf=lambda theta, o, x: np.where(
+            x >= 0.0, -np.expm1(-np.pi * x * x / (4.0 * theta[o] ** 2)), 0.0),
+        metric=_scale_metric(4.0),
+        christoffel=_scale_christoffel,
+        riemann=_flat,
+        sqrt_g=(lambda v: 2.0 / v,)),
+    AtomicKind(
+        GAUSSIAN, (_REAL, _POS), REALLINE, (_LOCATION_BOX, _SCALE_BOX),
+        log_density=_gaussian_log_density,
+        moments=lambda theta, o: (theta[o], theta[o + 1] ** 2),
+        sample=_gaussian_sample,
+        cdf=_gaussian_cdf,
+        metric=_gaussian_metric,
+        christoffel=_gaussian_christoffel,
+        riemann=_gaussian_riemann,
+        sqrt_g=(lambda v: np.ones_like(np.asarray(v, dtype=float)),
+                lambda v: math.sqrt(2.0) / v ** 2)),
+)}
 
 
 @dataclass(frozen=True)
@@ -59,7 +210,7 @@ class FamilySpec:
 
     def atomic_factors(self) -> tuple["FamilySpec", ...]:
         """The atomic factors (the family itself when already atomic)."""
-        return self.factors if self.kind == COMPOSITE else (self,)
+        return self.factors or (self,)
 
 
 @dataclass(frozen=True)
@@ -77,17 +228,22 @@ class ParamPoint:
         return len(self.values)
 
 
+def _atomic_family(kind: str, params: tuple[str, ...], name: str) -> FamilySpec:
+    rec = KINDS[kind]
+    return FamilySpec(name, kind, params, rec.param_domain, (rec.support,))
+
+
 def exponential_family(param: str = "mu", name: str = EXPONENTIAL) -> FamilySpec:
-    return FamilySpec(name, EXPONENTIAL, (param,), (_POS,), (HALFLINE,))
+    return _atomic_family(EXPONENTIAL, (param,), name)
 
 
 def wigner_dyson_family(param: str = "mu", name: str = WIGNER_DYSON) -> FamilySpec:
-    return FamilySpec(name, WIGNER_DYSON, (param,), (_POS,), (HALFLINE,))
+    return _atomic_family(WIGNER_DYSON, (param,), name)
 
 
 def gaussian_family(params: tuple[str, str] = ("mu", "sigma"),
                     name: str = GAUSSIAN) -> FamilySpec:
-    return FamilySpec(name, GAUSSIAN, params, (_REAL, _POS), (REALLINE,))
+    return _atomic_family(GAUSSIAN, params, name)
 
 
 def product_family(factors, name: str = COMPOSITE) -> FamilySpec:
@@ -99,7 +255,7 @@ def product_family(factors, name: str = COMPOSITE) -> FamilySpec:
     domains: list[tuple[float, float]] = []
     supports: list[str] = []
     for fac in factors:
-        if fac.kind == COMPOSITE:
+        if fac.factors:
             raise UnsupportedFamilyError("product factors must be atomic families")
         names.extend(fac.param_names)
         domains.extend(fac.param_domain)
@@ -161,34 +317,17 @@ def check_params(fam: FamilySpec, theta) -> np.ndarray:
     return arr
 
 
-def _split_params(fam: FamilySpec, theta: np.ndarray):
-    """Yield (atomic factor, its parameter slice) pairs."""
-    off = 0
+def factor_layout(fam: FamilySpec) -> tuple[tuple[AtomicKind, int], ...]:
+    """(record, parameter offset) of each atomic factor, in order."""
+    layout, off = [], 0
     for fac in fam.atomic_factors():
-        yield fac, theta[off:off + fac.n_params]
-        off += fac.n_params
-
-
-def _atomic_log_density(kind: str, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized log density of one atomic factor; -inf outside support."""
-    x = np.asarray(x, dtype=float)
-    if kind == EXPONENTIAL:
-        mu = params[0]
-        out = np.where(x >= 0.0, -x / mu - math.log(mu), -math.inf)
-    elif kind == WIGNER_DYSON:
-        mu = params[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = (np.log(np.pi * x / (2.0 * mu * mu))
-                    - np.pi * x * x / (4.0 * mu * mu))
-        out = np.where(x > 0.0, body, -math.inf)
-        out = np.where(x == 0.0, -math.inf, out)
-    elif kind == GAUSSIAN:
-        mu, sigma = params
-        out = (-0.5 * math.log(2.0 * math.pi * sigma * sigma)
-               - (x - mu) ** 2 / (2.0 * sigma * sigma))
-    else:  # pragma: no cover - registry guards this
-        raise UnsupportedFamilyError(f"no density registered for kind {kind!r}")
-    return out
+        rec = KINDS.get(fac.kind)
+        if rec is None:
+            raise UnsupportedFamilyError(
+                f"no closed forms registered for kind {fac.kind!r}")
+        layout.append((rec, off))
+        off += rec.n_params
+    return tuple(layout)
 
 
 def log_density(fam: FamilySpec, theta, x) -> np.ndarray | float:
@@ -205,10 +344,8 @@ def log_density(fam: FamilySpec, theta, x) -> np.ndarray | float:
             f"family {fam.name!r} has {fam.n_micro} microvariables, "
             f"got x of shape {xs.shape}")
     total = np.zeros(cols.shape[0])
-    col = 0
-    for fac, p in _split_params(fam, th):
-        total = total + _atomic_log_density(fac.kind, p, cols[:, col])
-        col += 1
+    for col, (rec, o) in enumerate(factor_layout(fam)):
+        total = total + rec.log_density(th, o, cols[:, col])
     if scalar_in or (xs.ndim == 1 and fam.n_micro > 1):
         return float(total[0])
     return total
@@ -223,46 +360,22 @@ def density(fam: FamilySpec, theta, x) -> np.ndarray | float:
 def moments(fam: FamilySpec, theta) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form per-microvariable means and variances."""
     th = check_params(fam, theta)
-    means, variances = [], []
-    for fac, p in _split_params(fam, th):
-        if fac.kind == EXPONENTIAL:
-            means.append(p[0])
-            variances.append(p[0] ** 2)
-        elif fac.kind == WIGNER_DYSON:
-            means.append(p[0])
-            variances.append((4.0 / math.pi - 1.0) * p[0] ** 2)
-        else:  # GAUSSIAN
-            means.append(p[0])
-            variances.append(p[1] ** 2)
+    means, variances = zip(*(rec.moments(th, o) for rec, o in factor_layout(fam)))
     return np.array(means), np.array(variances)
-
-
-def _atomic_sample(kind: str, params: np.ndarray, count: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sampling (Box-Muller for the Gaussian factor)."""
-    u = rng.random(count)
-    if kind == EXPONENTIAL:
-        return -params[0] * np.log1p(-u)
-    if kind == WIGNER_DYSON:
-        return params[0] * np.sqrt(-(4.0 / math.pi) * np.log1p(-u))
-    # Gaussian: Box-Muller on (u, u2); 1-u keeps the log argument in (0, 1].
-    u2 = rng.random(count)
-    z = np.sqrt(-2.0 * np.log1p(-u)) * np.cos(2.0 * math.pi * u2)
-    return params[0] + params[1] * z
 
 
 def sample(fam: FamilySpec, theta, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` microstates; deterministic for a fixed seed.
 
     Returns shape (count,) for univariate families and (count, n_micro)
-    for composites.
+    for composites.  Each factor draws by inverse CDF (Box-Muller for
+    the Gaussian) from one generator, in factor order.
     """
     th = check_params(fam, theta)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    cols = [_atomic_sample(fac.kind, p, count, rng)
-            for fac, p in _split_params(fam, th)]
+    cols = [rec.sample(th, o, count, rng) for rec, o in factor_layout(fam)]
     if fam.n_micro == 1:
         return cols[0]
     return np.stack(cols, axis=1)
@@ -273,14 +386,6 @@ def cdf(fam: FamilySpec, theta, x) -> np.ndarray | float:
     th = check_params(fam, theta)
     if fam.n_micro != 1:
         raise ShapeError(f"cdf is defined for univariate families, not {fam.name!r}")
-    xs = np.asarray(x, dtype=float)
-    kind = fam.atomic_factors()[0].kind
-    if kind == EXPONENTIAL:
-        out = np.where(xs >= 0.0, -np.expm1(-xs / th[0]), 0.0)
-    elif kind == WIGNER_DYSON:
-        out = np.where(xs >= 0.0,
-                       -np.expm1(-np.pi * xs * xs / (4.0 * th[0] ** 2)), 0.0)
-    else:  # GAUSSIAN
-        mu, sigma = th
-        out = 0.5 * (1.0 + np.vectorize(math.erf)((xs - mu) / (sigma * math.sqrt(2.0))))
+    ((rec, o),) = factor_layout(fam)
+    out = rec.cdf(th, o, np.asarray(x, dtype=float))
     return float(out) if np.ndim(x) == 0 else np.asarray(out)

@@ -109,41 +109,12 @@ def _instant_volume(model: ManifoldModel, start: np.ndarray, cur: np.ndarray,
     if not np.any(active):
         return 0.0
     log_scale = [d[0] == 0.0 and math.isinf(d[1]) for d in model.domain]
-    if model.sqrt_g_factors is not None:
-        total = 1.0
-        for i, f in enumerate(model.sqrt_g_factors):
-            if active[i]:
-                total *= _factor_integral(f, lo[i], hi[i], log_scale[i], nodes)
-            else:
-                total *= float(f(np.asarray(cur[i])))
-        return total
-    # Generic fallback: tensor-product quadrature of sqrt(det g) over the
-    # active coordinates, frozen coordinates held at their current values.
-    axes_nodes, axes_weights, active_idx = [], [], []
-    for i in range(model.dim):
-        if not active[i]:
-            continue
-        if log_scale[i]:
-            u, w = gauss_legendre(nodes, math.log(lo[i]), math.log(hi[i]))
-            axes_nodes.append(np.exp(u))
-            axes_weights.append(w * np.exp(u))
+    total = 1.0
+    for i, f in enumerate(model.sqrt_g_factors):
+        if active[i]:
+            total *= _factor_integral(f, lo[i], hi[i], log_scale[i], nodes)
         else:
-            x, w = gauss_legendre(nodes, lo[i], hi[i])
-            axes_nodes.append(x)
-            axes_weights.append(w)
-        active_idx.append(i)
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    wmesh = np.meshgrid(*axes_weights, indexing="ij")
-    weight = np.ones_like(mesh[0])
-    for w in wmesh:
-        weight = weight * w
-    total = 0.0
-    for flat_idx in range(mesh[0].size):
-        theta = cur.copy()
-        for k, i in enumerate(active_idx):
-            theta[i] = mesh[k].flat[flat_idx]
-        det = np.linalg.det(model.metric(theta))
-        total += weight.flat[flat_idx] * math.sqrt(abs(det))
+            total *= float(f(np.asarray(cur[i])))
     return total
 
 

@@ -1,10 +1,11 @@
 """Riemannian statistical manifolds with the Fisher-Rao metric.
 
 A ``ManifoldModel`` is a coordinate box plus a metric field.  Models
-built from probability families get their metric in closed form, a
-closed-form Christoffel/Riemann override (the product structure makes
-these one-liners), and a per-coordinate factorization of sqrt(det g)
-used by the volume integrals.
+built from probability families assemble their closed-form metric,
+Christoffel symbols, Riemann tensor and per-coordinate factorization of
+sqrt(det g) from the atomic records in ``families.KINDS``: factors are
+independent, so every tensor is block-diagonal with one block per
+factor.
 
 The two prebuilt manifolds are the 2-d exponential x exponential model
 (metric diag(1/mu_A^2, 1/mu_B^2), flat) and the 3-d Wigner-Dyson x
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,12 +25,8 @@ import numpy as np
 from . import families as fam_mod
 from .errors import (AccuracyError, DomainError, ShapeError,
                      UnsupportedFamilyError)
-from .families import (EXPONENTIAL, GAUSSIAN, WIGNER_DYSON, FamilySpec,
-                       check_params)
+from .families import AtomicKind, FamilySpec, check_params, factor_layout
 from .quadrature import support_rule
-
-_POS = (0.0, math.inf)
-_REAL = (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -36,12 +34,13 @@ class ManifoldModel:
     """A coordinate domain with a metric field and optional closed forms.
 
     ``metric_fn`` maps a coordinate vector to a symmetric positive
-    definite (dim x dim) matrix.  ``christoffel_fn``/``riemann_fn`` are
-    optional exact overrides used as oracles for (and fast paths around)
-    the finite-difference pipeline.  ``sqrt_g_factors`` holds per-
-    coordinate functions whose product is sqrt(det g) when the metric
-    determinant factorizes; ``sample_box`` is a finite per-coordinate
-    box used when drawing random in-domain test points.
+    definite (dim x dim) matrix.  ``sqrt_g_factors`` holds per-
+    coordinate functions whose product is sqrt(det g); the volume
+    integrals need the determinant to factorize.  ``christoffel_fn``/
+    ``riemann_fn`` are optional exact overrides used as oracles for (and
+    fast paths around) the finite-difference pipeline; ``sample_box``
+    is a finite per-coordinate box used when drawing random in-domain
+    test points.
     """
 
     name: str
@@ -49,9 +48,9 @@ class ManifoldModel:
     coord_names: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
     metric_fn: Callable[[np.ndarray], np.ndarray]
+    sqrt_g_factors: tuple[Callable[[np.ndarray], np.ndarray], ...]
     christoffel_fn: Callable[[np.ndarray], np.ndarray] | None = None
     riemann_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    sqrt_g_factors: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
     sample_box: tuple[tuple[float, float], ...] = field(default=())
 
     def check_point(self, theta, margin: float = 0.0) -> np.ndarray:
@@ -94,40 +93,25 @@ class ManifoldModel:
 # Closed-form Fisher metrics
 # ---------------------------------------------------------------------------
 
-def _atomic_metric_blocks(fam: FamilySpec, theta: np.ndarray) -> list[np.ndarray]:
-    blocks = []
-    off = 0
-    for fac in fam.atomic_factors():
-        p = theta[off:off + fac.n_params]
-        if fac.kind == EXPONENTIAL:
-            blocks.append(np.array([[1.0 / p[0] ** 2]]))
-        elif fac.kind == WIGNER_DYSON:
-            blocks.append(np.array([[4.0 / p[0] ** 2]]))
-        elif fac.kind == GAUSSIAN:
-            s2 = p[1] ** 2
-            blocks.append(np.diag([1.0 / s2, 2.0 / s2]))
-        else:
-            raise UnsupportedFamilyError(
-                f"no closed-form Fisher metric registered for {fac.name!r}")
-        off += fac.n_params
-    return blocks
-
-
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    dim = sum(b.shape[0] for b in blocks)
-    out = np.zeros((dim, dim))
-    off = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[off:off + k, off:off + k] = b
-        off += k
+def _assemble(blocks, shape: tuple[int, ...], theta: np.ndarray) -> np.ndarray:
+    """Zero tensor of ``shape`` with each (writer, offset) block written in."""
+    out = np.zeros(shape)
+    for write, o in blocks:
+        write(theta, o, out)
     return out
+
+
+def _closed_form(layout, tensor: str, rank: int) -> Callable[[np.ndarray], np.ndarray]:
+    """theta -> the rank-``rank`` ``tensor`` assembled from factor records."""
+    dim = sum(rec.n_params for rec, _ in layout)
+    blocks = tuple((getattr(rec, tensor), o) for rec, o in layout)
+    return partial(_assemble, blocks, (dim,) * rank)
 
 
 def fisher_metric_closed_form(fam: FamilySpec, theta) -> np.ndarray:
     """Exact Fisher-Rao metric; composites are block-diagonal in factors."""
     th = check_params(fam, theta)
-    return _block_diag(_atomic_metric_blocks(fam, th))
+    return _closed_form(factor_layout(fam), "metric", 2)(th)
 
 
 # ---------------------------------------------------------------------------
@@ -153,50 +137,50 @@ class QuadratureMetric:
     nodes: int
 
 
-def _param_steps(fac: FamilySpec, params: np.ndarray, rel: float) -> np.ndarray:
+def _param_steps(rec: AtomicKind, params: np.ndarray, rel: float) -> np.ndarray:
     """Central-difference steps, shrunk to stay inside the open domain."""
     steps = rel * np.maximum(1.0, np.abs(params))
-    for i, (lo, hi) in enumerate(fac.param_domain):
+    for i, (lo, hi) in enumerate(rec.param_domain):
         room = min(params[i] - lo, hi - params[i])
         if np.isfinite(room):
             steps[i] = min(steps[i], 0.4 * room)
     return steps
 
 
-def _fisher_block_at(fac: FamilySpec, params: np.ndarray, nodes: int,
+def _fisher_block_at(rec: AtomicKind, params: np.ndarray, nodes: int,
                      fd_step: float) -> np.ndarray:
-    x, w = support_rule(fac.supports[0], nodes)
-    steps = _param_steps(fac, params, fd_step)
+    x, w = support_rule(rec.support, nodes)
+    steps = _param_steps(rec, params, fd_step)
     scores = []
-    for i in range(fac.n_params):
+    for i in range(rec.n_params):
         hi_p = params.copy()
         lo_p = params.copy()
         hi_p[i] += steps[i]
         lo_p[i] -= steps[i]
-        dlog = (fam_mod._atomic_log_density(fac.kind, hi_p, x)
-                - fam_mod._atomic_log_density(fac.kind, lo_p, x)) / (2.0 * steps[i])
+        dlog = (rec.log_density(hi_p, 0, x)
+                - rec.log_density(lo_p, 0, x)) / (2.0 * steps[i])
         scores.append(dlog)
-    p_x = np.exp(fam_mod._atomic_log_density(fac.kind, params, x))
-    g = np.empty((fac.n_params, fac.n_params))
-    for i in range(fac.n_params):
-        for j in range(i, fac.n_params):
+    p_x = np.exp(rec.log_density(params, 0, x))
+    g = np.empty((rec.n_params, rec.n_params))
+    for i in range(rec.n_params):
+        for j in range(i, rec.n_params):
             g[i, j] = g[j, i] = np.dot(w, p_x * scores[i] * scores[j])
     return g
 
 
-def _refined_block(fac: FamilySpec, params: np.ndarray,
+def _refined_block(rec: AtomicKind, params: np.ndarray,
                    settings: QuadratureSettings) -> tuple[np.ndarray, float, int]:
     nodes = settings.nodes
-    prev = cur = _fisher_block_at(fac, params, nodes, settings.fd_step)
+    prev = cur = _fisher_block_at(rec, params, nodes, settings.fd_step)
     for _ in range(settings.max_doublings):
         nodes *= 2
-        cur = _fisher_block_at(fac, params, nodes, settings.fd_step)
+        cur = _fisher_block_at(rec, params, nodes, settings.fd_step)
         diff = float(np.linalg.norm(cur - prev))
         if diff <= settings.tol * max(1.0, float(np.linalg.norm(cur))):
             return cur, diff, nodes
         prev = cur
     raise AccuracyError(
-        f"Fisher quadrature for {fac.name!r} did not converge below "
+        f"Fisher quadrature for {rec.kind!r} did not converge below "
         f"{settings.tol:g} at {nodes} nodes", estimates=(prev, cur))
 
 
@@ -213,13 +197,15 @@ def fisher_metric_quadrature(fam: FamilySpec, theta,
     """
     th = check_params(fam, theta)
     settings = settings or QuadratureSettings()
-    blocks, errs, max_nodes = [], [0.0], [settings.nodes]
-    for fac, p in fam_mod._split_params(fam, th):
-        block, err, nodes = _refined_block(fac, p.copy(), settings)
-        blocks.append(block)
+    g = np.zeros((fam.n_params, fam.n_params))
+    errs, max_nodes = [0.0], [settings.nodes]
+    for rec, o in factor_layout(fam):
+        k = rec.n_params
+        block, err, nodes = _refined_block(rec, th[o:o + k].copy(), settings)
+        g[o:o + k, o:o + k] = block
         errs.append(err)
         max_nodes.append(nodes)
-    return QuadratureMetric(_block_diag(blocks), max(errs), max(max_nodes))
+    return QuadratureMetric(g, max(errs), max(max_nodes))
 
 
 def line_element(model: ManifoldModel, theta, dtheta) -> float:
@@ -237,94 +223,19 @@ def line_element(model: ManifoldModel, theta, dtheta) -> float:
 # Model construction from families
 # ---------------------------------------------------------------------------
 
-def _const_curvature_riemann(g_block: np.ndarray, kappa: float) -> np.ndarray:
-    """R^m_nrs = kappa (delta^m_r g_sn - delta^m_s g_rn) on one block."""
-    k = g_block.shape[0]
-    eye = np.eye(k)
-    return kappa * (np.einsum("mr,sn->mnrs", eye, g_block)
-                    - np.einsum("ms,rn->mnrs", eye, g_block))
-
-
-def _family_closed_forms(fam: FamilySpec):
-    """Closed-form metric, Christoffel, Riemann and sqrt(g) factors.
-
-    Every factor contributes an independent block: scale factors
-    (exponential, Wigner-Dyson) are one-dimensional and flat; each
-    Gaussian factor is a two-dimensional block of constant sectional
-    curvature -1/2.
-    """
-    layout = []  # (kind, offset) per factor
-    off = 0
-    for fac in fam.atomic_factors():
-        layout.append((fac.kind, off))
-        off += fac.n_params
-    dim = off
-
-    def metric_fn(theta: np.ndarray) -> np.ndarray:
-        g = np.zeros((dim, dim))
-        for kind, o in layout:
-            if kind == EXPONENTIAL:
-                g[o, o] = 1.0 / theta[o] ** 2
-            elif kind == WIGNER_DYSON:
-                g[o, o] = 4.0 / theta[o] ** 2
-            else:
-                s2 = theta[o + 1] ** 2
-                g[o, o] = 1.0 / s2
-                g[o + 1, o + 1] = 2.0 / s2
-        return g
-
-    def christoffel_fn(theta: np.ndarray) -> np.ndarray:
-        gam = np.zeros((dim, dim, dim))
-        for kind, o in layout:
-            if kind in (EXPONENTIAL, WIGNER_DYSON):
-                gam[o, o, o] = -1.0 / theta[o]
-            else:
-                s = theta[o + 1]
-                gam[o, o, o + 1] = gam[o, o + 1, o] = -1.0 / s
-                gam[o + 1, o, o] = 0.5 / s
-                gam[o + 1, o + 1, o + 1] = -1.0 / s
-        return gam
-
-    def riemann_fn(theta: np.ndarray) -> np.ndarray:
-        riem = np.zeros((dim, dim, dim, dim))
-        for kind, o in layout:
-            if kind == GAUSSIAN:
-                s2 = theta[o + 1] ** 2
-                block = _const_curvature_riemann(
-                    np.diag([1.0 / s2, 2.0 / s2]), -0.5)
-                riem[o:o + 2, o:o + 2, o:o + 2, o:o + 2] = block
-        return riem
-
-    factors: list[Callable[[np.ndarray], np.ndarray]] = []
-    for kind, _ in layout:
-        if kind == EXPONENTIAL:
-            factors.append(lambda v: 1.0 / v)
-        elif kind == WIGNER_DYSON:
-            factors.append(lambda v: 2.0 / v)
-        else:
-            factors.append(lambda v: np.ones_like(np.asarray(v, dtype=float)))
-            factors.append(lambda v: math.sqrt(2.0) / v ** 2)
-    return metric_fn, christoffel_fn, riemann_fn, tuple(factors)
-
-
-_DEFAULT_BOX = {"scale": (0.5, 3.0), "location": (-2.0, 2.0)}
-
-
 def model_from_family(fam: FamilySpec, name: str | None = None) -> ManifoldModel:
     """Statistical manifold of a family under its Fisher-Rao metric."""
-    metric_fn, christoffel_fn, riemann_fn, factors = _family_closed_forms(fam)
-    box = tuple(_DEFAULT_BOX["scale"] if lo == 0.0 else _DEFAULT_BOX["location"]
-                for lo, _ in fam.param_domain)
+    layout = factor_layout(fam)
     return ManifoldModel(
         name=name or fam.name,
         dim=fam.n_params,
         coord_names=fam.param_names,
         domain=fam.param_domain,
-        metric_fn=metric_fn,
-        christoffel_fn=christoffel_fn,
-        riemann_fn=riemann_fn,
-        sqrt_g_factors=factors,
-        sample_box=box,
+        metric_fn=_closed_form(layout, "metric", 2),
+        sqrt_g_factors=tuple(f for rec, _ in layout for f in rec.sqrt_g),
+        christoffel_fn=_closed_form(layout, "christoffel", 3),
+        riemann_fn=_closed_form(layout, "riemann", 4),
+        sample_box=tuple(b for rec, _ in layout for b in rec.sample_box),
     )
 
 
@@ -350,13 +261,13 @@ def euclidean_model(dim: int = 2) -> ManifoldModel:
         name="euclidean",
         dim=dim,
         coord_names=tuple(f"x{i}" for i in range(dim)),
-        domain=tuple(_REAL for _ in range(dim)),
+        domain=((-math.inf, math.inf),) * dim,
         metric_fn=lambda theta: eye.copy(),
-        christoffel_fn=lambda theta: np.zeros((dim, dim, dim)),
-        riemann_fn=lambda theta: np.zeros((dim, dim, dim, dim)),
         sqrt_g_factors=tuple(
             (lambda v: np.ones_like(np.asarray(v, dtype=float)))
             for _ in range(dim)),
+        christoffel_fn=lambda theta: np.zeros((dim, dim, dim)),
+        riemann_fn=lambda theta: np.zeros((dim, dim, dim, dim)),
         sample_box=tuple((-2.0, 2.0) for _ in range(dim)),
     )
 

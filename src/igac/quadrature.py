@@ -53,8 +53,3 @@ def support_rule(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         return realline_rule(n)
     raise ValueError(f"unknown support kind {kind!r}")
 
-
-def integrate(f, kind: str, n: int) -> float:
-    """Integrate a vectorized scalar function over the given support."""
-    x, w = support_rule(kind, n)
-    return float(np.dot(w, f(x)))

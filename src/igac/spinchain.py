@@ -45,6 +45,7 @@ import scipy.sparse as sp
 
 from .errors import (FitError, InsufficientDataError, ResourceError,
                      ValidationError)
+from .families import EXPONENTIAL, KINDS, WIGNER_DYSON
 
 SECTORS = ("full", "reflection_even", "reflection_odd")
 DEFAULT_MAX_SPINS = 14
@@ -270,16 +271,17 @@ def unfold(eigenvalues: np.ndarray, poly_degree: int = 7,
     return spacings / mean
 
 
+_UNIT_MEAN = (1.0,)
+
+
 def poisson_spacing_cdf(s: np.ndarray) -> np.ndarray:
     """Unit-mean exponential spacing law, 1 - exp(-s)."""
-    s = np.asarray(s, dtype=float)
-    return np.where(s > 0.0, -np.expm1(-s), 0.0)
+    return KINDS[EXPONENTIAL].cdf(_UNIT_MEAN, 0, np.asarray(s, dtype=float))
 
 
 def wigner_spacing_cdf(s: np.ndarray) -> np.ndarray:
     """Unit-mean Wigner-Dyson spacing law, 1 - exp(-pi s^2 / 4)."""
-    s = np.asarray(s, dtype=float)
-    return np.where(s > 0.0, -np.expm1(-math.pi * s * s / 4.0), 0.0)
+    return KINDS[WIGNER_DYSON].cdf(_UNIT_MEAN, 0, np.asarray(s, dtype=float))
 
 
 def poisson_spacing_pdf(s: np.ndarray) -> np.ndarray:

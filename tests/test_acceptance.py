@@ -188,7 +188,7 @@ def test_criterion_7_structural_invariants():
     union_ok = True
     for n in range(2, 9):
         h = build_hamiltonian(ChainSpec(n, 0.9, 1.1, sector="full"))
-        trace_ok = trace_ok and np.trace(h) == 0.0
+        trace_ok = trace_ok and math.fsum(np.diagonal(h)) == 0.0
         full = diagonalize(h)
         union = np.sort(np.concatenate([
             diagonalize(build_hamiltonian(ChainSpec(n, 0.9, 1.1,

@@ -56,14 +56,16 @@ def test_metric_requires_point_or_grid(tmp_path, capsys):
     assert rc == 2
 
 
-def test_metric_jobs_parallel_matches_serial(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["metric", "--family", "gaussian",
-                 "--grid", "mu=-1:1:3,sigma=0.5:2:3", "--out", str(a)]) == 0
-    assert main(["metric", "--family", "gaussian",
-                 "--grid", "mu=-1:1:3,sigma=0.5:2:3", "--out", str(b),
-                 "--jobs", "4"]) == 0
-    assert (a / "metric_grid.csv").read_text() == (b / "metric_grid.csv").read_text()
+def test_jobs_option_removed(tmp_path, capsys):
+    rc, _ = run(["metric", "--family", "gaussian", "--point", "mu=0,sigma=1",
+                 "--out", str(tmp_path / "a"), "--jobs", "2"], capsys)
+    assert rc == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    rc, err = run(["metric", "--family", "gaussian", "--point", "mu=0,sigma=1",
+                   "--config", str(cfg), "--out", str(tmp_path / "b")], capsys)
+    assert rc == 2
+    assert json.loads(err.strip().splitlines()[-1])["field"] == "jobs"
 
 
 def test_curvature_chaotic_negative(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igac import (InsufficientDataError, ResourceError, ValidationError,
-                  analyze_chain, build_hamiltonian, diagonalize, ks_distance,
-                  lsd_verdict, max_spins, mean_spacing_ratio,
+                  analyze_chain, build_hamiltonian, cdf, diagonalize, family,
+                  ks_distance, lsd_verdict, max_spins, mean_spacing_ratio,
                   poisson_spacing_cdf, reflection_basis, spacing_histogram,
                   unfold, wigner_spacing_cdf)
 from igac import spinchain
@@ -148,9 +148,11 @@ def test_diagonalize_checks_every_row_block():
 
 
 def test_trace_zero_exact():
-    for (n, hx, hy) in [(3, 0.7, 0.0), (5, 1.0, 1.0), (6, 0.0, 2.0)]:
+    # The diagonal holds exact +/- pairs; fsum adds them without rounding.
+    for (n, hx, hy) in [(3, 0.7, 0.0), (5, 1.0, 1.0), (6, 0.0, 2.0),
+                        (7, 0.8, 0.6), (10, 0.8, 0.6)]:
         h = build_hamiltonian(ChainSpec(n, hx, hy, sector="full"))
-        assert np.trace(h) == 0.0
+        assert math.fsum(np.diagonal(h)) == 0.0
 
 
 def test_sector_dimensions():
@@ -284,6 +286,14 @@ def test_ks_distance_exact_cdf():
     u = (np.arange(n) + 0.5) / n
     d = ks_distance(-np.log1p(-u), poisson_spacing_cdf)
     assert d == pytest.approx(1.0 / (2 * n), abs=1e-9)
+
+
+def test_spacing_cdfs_are_the_family_cdfs_at_unit_mean():
+    s = np.concatenate([[-1.0, 0.0, 5e-324], np.linspace(0.0, 8.0, 801)])
+    for law, name in ((poisson_spacing_cdf, "exponential"),
+                      (wigner_spacing_cdf, "wigner_dyson")):
+        expected = cdf(family(name), (1.0,), s)
+        assert law(s).tobytes() == expected.tobytes(), name
 
 
 def test_spacing_histogram_bands():
