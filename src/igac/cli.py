@@ -374,13 +374,6 @@ def _trajectory_rows(mdl, traj, with_jacobi: bool):
     return columns, rows
 
 
-def _event_dict(traj):
-    if traj.boundary_event is None:
-        return None
-    ev = traj.boundary_event
-    return {"tau": ev.tau, "coordinate": ev.coordinate_name, "value": ev.value}
-
-
 def cmd_geodesic(cfg: dict) -> int:
     mdl, traj = _run_geodesic(cfg)
     out = _out_dir(cfg)
@@ -390,7 +383,7 @@ def cmd_geodesic(cfg: dict) -> int:
         "kind": "geodesic", "manifold": mdl.name,
         "final_coords": [float(v) for v in traj.coords[-1]],
         "speed_drift": float(np.max(np.abs(traj.speed - traj.speed[0]))),
-        "boundary_event": _event_dict(traj)})
+        "boundary_event": None})
     if cfg["plot"]:
         series = [(traj.tau_grid, traj.coords[:, i], mdl.coord_names[i], None)
                   for i in range(mdl.dim)]
@@ -416,7 +409,7 @@ def cmd_jacobi(cfg: dict) -> int:
         "kind": "jacobi_fit", "manifold": mdl.name,
         "lambda_j": est.lambda_j, "fit_r2": est.fit_r2,
         "window": list(est.window), "n_samples": est.n_samples,
-        "boundary_event": _event_dict(traj)})
+        "boundary_event": None})
     if cfg["plot"]:
         mask = traj.jacobi_norm > 0
         _write_text(out / "jacobi.svg", svgplot.line_plot(
@@ -441,7 +434,7 @@ def cmd_ige(cfg: dict) -> int:
     write_table(out / "ige_series", cfg["format"], columns, rows)
     write_json(out / "ige.json", {
         "kind": "ige_fit", "manifold": mdl.name, **fit.to_dict(),
-        "boundary_event": _event_dict(traj)})
+        "boundary_event": None})
     if cfg["plot"]:
         sel = fit.selected_fit
         xs = series.tau_samples

@@ -1,30 +1,43 @@
 """Geodesic flow and geodesic-deviation dynamics on a manifold.
 
-Trajectories solve d^2 theta/dtau^2 + Gamma(theta)(v, v) = 0 with an
-explicit embedded Runge-Kutta 4(5) pair (Dormand-Prince coefficients)
-under mixed absolute/relative error control.  Deviation vectors are
-co-integrated in first-order covariant form,
+Geodesics are integrated in the model's log-scale ``Chart``: scale
+coordinates as u = log(theta), velocities as components w in the chart's
+frame, so the geodesic equation reads
 
-    dJ/dtau = K - Gamma(v, J),      dK/dtau = -Gamma(v, K) - R(J, v)v,
+    dx/dtau = E(x) w,      dw/dtau = -omega(w, w),
+
+with E the frame lengths and omega the connection in the frame.  On the
+prebuilt manifolds the chart covers all of R^dim and omega is constant
+(the Gaussian block, e^{-2u} dmu^2 + 2 du^2, carries p = e^{-u} dmu/dtau
+and q = du/dtau), so these complete manifolds' geodesics run to any tau
+at any depth.  Results come back in theta coordinate components, where a
+value beyond float64's range (sigma below 1e-308, say) reads 0.0 or inf;
+speeds and deviation norms are taken in the frame, whose metric is
+constant.
+
+The stepper is the Dormand-Prince 5(4) pair under mixed absolute/relative
+error control.  Inputs are validated once at entry, steps follow the
+tolerance alone, and samples come from the pair's continuous extension
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6).  A stage that leaves
+the chart or float64's range rejects the step; the step-size floor then
+raises SingularityError.  Deviation vectors are co-integrated in
+first-order covariant form,
+
+    dJ/dtau = K - omega(v, J),      dK/dtau = -omega(v, K) - R(J, v)v,
 
 with K the covariant rate of J, so flat manifolds give exactly affine
-growth and constant negative curvature gives sinh growth.  Integration
-halts with a boundary event when a coordinate comes within a small
-margin of its open-domain edge; scale coordinates must stay positive.
+growth and constant negative curvature gives sinh growth.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, InsufficientDataError, ShapeError,
-                     SingularityError)
+from .errors import (DomainError, InapplicableError, InsufficientDataError,
+                     InversionError, ShapeError, SingularityError)
 from .geometry import christoffel, riemann
-from .manifold import ManifoldModel
-
-BOUNDARY_MARGIN = 1e-9
+from .manifold import Chart, ManifoldModel
 
 # Dormand-Prince 5(4) tableau; the fifth-order row propagates.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -41,16 +54,10 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 _ERR = _B5 - _B4
-
-
-@dataclass(frozen=True)
-class BoundaryEvent:
-    """Domain-edge hit that truncated an integration."""
-
-    tau: float
-    coordinate: int
-    coordinate_name: str
-    value: float
+# Continuous extension of order 4 (Hairer's DOPRI5 dense output).
+_DENSE = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                   -10690763975 / 1880347072, 701980252875 / 199316789632,
+                   -1453857185 / 822651844, 69997945 / 29380423])
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,8 @@ class GeodesicTrajectory:
     ``speed`` is the g-norm of the velocity (constant along geodesics up
     to integrator tolerance).  When filled, ``jacobi``/``jacobi_rate``
     hold coordinate components of J and of its covariant rate, and
-    ``jacobi_norm`` the pointwise g-norm of J.
+    ``jacobi_norm`` the pointwise g-norm of J.  ``boundary_event`` is
+    always None: the charts have no boundary, so no geodesic is cut short.
     """
 
     model_name: str
@@ -81,74 +89,137 @@ class GeodesicTrajectory:
     jacobi: np.ndarray | None = None
     jacobi_rate: np.ndarray | None = None
     jacobi_norm: np.ndarray | None = None
-    boundary_event: BoundaryEvent | None = None
+    boundary_event: None = None
 
     @property
     def n_samples(self) -> int:
         return len(self.tau_grid)
 
 
-def _domain_guard(model: ManifoldModel, tau: float, theta: np.ndarray
-                  ) -> BoundaryEvent | None:
-    for i, (lo, hi) in enumerate(model.domain):
-        if theta[i] <= lo + BOUNDARY_MARGIN or theta[i] >= hi - BOUNDARY_MARGIN:
-            return BoundaryEvent(tau, i, model.coord_names[i], float(theta[i]))
-    return None
+def _dense(y0: np.ndarray, y1: np.ndarray, ks: np.ndarray, h: float,
+           s: np.ndarray) -> np.ndarray:
+    """States at step fractions ``s`` of the step from y0 to y1."""
+    ydiff = y1 - y0
+    bspl = h * ks[0] - ydiff
+    r4 = ydiff - h * ks[6] - bspl
+    r5 = h * (_DENSE @ ks)
+    s = s[:, None]
+    s1 = 1.0 - s
+    return y0 + s * (ydiff + s1 * (bspl + s * (r4 + s1 * r5)))
 
 
 def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
-                       guard=None, min_step: float | None = None):
-    """Adaptive RK45 walk recording the state at every grid node.
+                       min_step: float | None = None) -> np.ndarray:
+    """Adaptive Dormand-Prince walk, returning the state at every grid node.
 
-    Steps are capped so each grid node is hit exactly.  Returns the
-    recorded states (truncated at a guard event) and the event, if any.
+    Steps follow the error control alone; each accepted step fills the
+    grid nodes it spans from the continuous extension.  A NaN or inf
+    error estimate rejects the step and shrinks it, so a state that
+    leaves float64's range ends in SingularityError once the step falls
+    below the floor (``min_step``).
     """
     atol = rtol = float(tol)
-    y = np.asarray(y0, dtype=float).copy()
-    tau = float(grid[0])
-    states = [y.copy()]
-    event = None
-    k1 = rhs(tau, y)
-    span = float(grid[-1] - grid[0])
-    h = min(1e-2 * max(span, 1e-12), span or 1e-12)
+    y = np.array(y0, dtype=float)
+    out = np.empty((len(grid), y.size))
+    out[0] = y
+    tau, end = float(grid[0]), float(grid[-1])
+    span = end - tau
+    h = 1e-2 * span
     floor = min_step if min_step is not None else 1e-14 * max(1.0, span)
     ks = np.empty((7, y.size))
-    for target in grid[1:]:
-        while tau < target - 1e-15 * max(1.0, abs(target)):
-            h = min(h, target - tau)
-            ks[0] = k1
-            for s in range(1, 7):
-                ys = y + h * (_A[s] @ ks[:s])
-                ks[s] = rhs(tau + _C[s] * h, ys)
-            y5 = y + h * (_B5 @ ks)
-            err_vec = h * (_ERR @ ks)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            if err <= 1.0:
-                tau = tau + h
-                y = y5
-                k1 = ks[6]  # first-same-as-last stage
-                if guard is not None:
-                    event = guard(tau, y)
-                    if event is not None:
-                        return np.array(states), event
-            factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0
-            h = h * min(5.0, max(0.2, factor))
-            if h < floor:
-                raise SingularityError(
-                    f"step size underflowed ({h:.3e} < {floor:.3e}) at tau={tau:.6g}",
-                    last_state=(tau, y.copy()))
-        states.append(y.copy())
-    return np.array(states), event
-
-
-def _g_norms(model: ManifoldModel, coords: np.ndarray,
-             vectors: np.ndarray) -> np.ndarray:
-    out = np.empty(len(coords))
-    for i, (th, vec) in enumerate(zip(coords, vectors)):
-        g = model.metric(th)
-        out[i] = np.sqrt(max(0.0, float(vec @ g @ vec)))
+    ks[0] = rhs(tau, y)
+    filled = 1
+    while filled < len(grid):
+        last = h >= end - tau
+        if last:
+            h = end - tau
+        for s in range(1, 7):
+            ys = y + h * (_A[s] @ ks[:s])
+            ks[s] = rhs(tau + _C[s] * h, ys)
+        # The last stage's state is the fifth-order solution.
+        err_vec = h * (_ERR @ ks)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(ys))
+        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if err <= 1.0:
+            stop = (len(grid) if last
+                    else int(np.searchsorted(grid, tau + h, side="right")))
+            if stop > filled:
+                out[filled:stop] = _dense(y, ys, ks, h, (grid[filled:stop] - tau) / h)
+                filled = stop
+            tau, y = (end if last else tau + h), ys
+            ks[0] = ks[6]  # first same as last, copied out of the stage buffer
+        if err > 0.0:
+            factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:  # a zero error grows the step, a NaN one shrinks it
+            factor = 5.0 if err == 0.0 else 0.2
+        h *= factor
+        if not err <= 1.0 and h < floor:
+            raise SingularityError(
+                f"step size underflowed ({h:.3e} < {floor:.3e}) at tau={tau:.6g}",
+                last_state=(tau, y.copy()))
     return out
+
+
+def _chart_of(model: ManifoldModel) -> Chart:
+    if model.chart is None:
+        raise InapplicableError(
+            f"model {model.name!r} has no chart to integrate geodesics in")
+    return model.chart
+
+
+def _frame_tensors(chart: Chart, use_closed_form: bool):
+    """Callables x -> frame components of the connection and the curvature.
+
+    The chart model's closed forms are frame components already; its
+    finite-difference tensors are chart components and are converted.
+    At a stage outside the chart, or where the chart metric leaves
+    float64's range, they return NaN, which rejects the step.
+    """
+    cm = chart.model
+    closed = use_closed_form and cm.christoffel_fn is not None
+
+    def connection(x):
+        try:
+            gam = christoffel(cm, x, use_closed_form=closed)
+        except (DomainError, InversionError):
+            return np.full((cm.dim,) * 3, np.nan)
+        return gam if closed else chart.frame_connection(x, gam)
+
+    def curvature(x):
+        try:
+            riem = riemann(cm, x, use_closed_form=closed)
+        except (DomainError, InversionError):
+            return np.full((cm.dim,) * 4, np.nan)
+        return riem if closed else chart.frame_curvature(x, riem)
+
+    return connection, curvature
+
+
+def _result(model: ManifoldModel, chart: Chart, grid: np.ndarray,
+            states: np.ndarray) -> GeodesicTrajectory:
+    """Trajectory in theta components from chart states (x, w[, J, K]);
+    values beyond float64's range come out as 0.0 or inf."""
+    dim = model.dim
+    x = states[:, :dim]
+    frame = states[:, dim:].reshape(len(states), -1, dim)
+    to_theta = chart.theta_lengths(x)[:, None, :] * frame
+    coords = chart.from_chart(x)
+    norms = chart.norms(frame)
+    traj = GeodesicTrajectory(model_name=model.name, tau_grid=grid,
+                              coords=coords, velocity=to_theta[:, 0],
+                              speed=norms[:, 0])
+    if frame.shape[1] == 3:
+        traj.jacobi, traj.jacobi_rate = to_theta[:, 1], to_theta[:, 2]
+        traj.jacobi_norm = norms[:, 1]
+    return traj
+
+
+def _chart_state(chart: Chart, theta: np.ndarray, *vectors) -> np.ndarray:
+    """Chart coordinates of ``theta`` followed by frame components of vectors."""
+    x = chart.to_chart(theta)
+    lengths = chart.theta_lengths(x)
+    return np.concatenate([x] + [np.asarray(v, dtype=float) / lengths
+                                 for v in vectors])
 
 
 def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
@@ -157,10 +228,10 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
                        min_step: float | None = None) -> GeodesicTrajectory:
     """Integrate the geodesic equation from (theta0, v0) up to tau_max.
 
-    The trajectory is recorded on a uniform grid of ``samples`` points;
-    a boundary event truncates the grid and is reported on the result.
+    The trajectory is recorded on a uniform grid of ``samples`` points.
     A step-size underflow (below ``min_step``) raises SingularityError
-    carrying the last valid state.
+    carrying the last valid integrator state (chart coordinates and
+    frame components).
     """
     th0 = model.check_point(theta0)
     v0 = np.asarray(v0, dtype=float).reshape(-1)
@@ -170,29 +241,19 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
         raise DomainError(f"tau_max must be positive, got {tau_max}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    chart = _chart_of(model)
+    connection, _ = _frame_tensors(chart, use_closed_form)
     dim = model.dim
 
     def rhs(tau, y):
-        th, vel = y[:dim], y[dim:]
-        gam = christoffel(model, th, use_closed_form=use_closed_form)
-        acc = -np.einsum("abc,b,c->a", gam, vel, vel)
-        return np.concatenate([vel, acc])
+        x, w = y[:dim], y[dim:]
+        return np.concatenate([chart.lengths(x) * w, -(w @ connection(x)) @ w])
 
     grid = np.linspace(0.0, float(tau_max), int(samples))
-    states, event = _integrate_on_grid(
-        rhs, np.concatenate([th0, v0]), grid, tol,
-        guard=lambda tau, y: _domain_guard(model, tau, y[:dim]),
-        min_step=min_step)
-    n = len(states)
-    coords, velocity = states[:, :dim], states[:, dim:]
-    return GeodesicTrajectory(
-        model_name=model.name,
-        tau_grid=grid[:n],
-        coords=coords,
-        velocity=velocity,
-        speed=_g_norms(model, coords, velocity),
-        boundary_event=event,
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        states = _integrate_on_grid(rhs, _chart_state(chart, th0, v0), grid,
+                                    tol, min_step=min_step)
+        return _result(model, chart, grid, states)
 
 
 def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
@@ -213,36 +274,20 @@ def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
     dJ0 = np.asarray(dJ0, dtype=float).reshape(-1)
     if J0.size != dim or dJ0.size != dim:
         raise ShapeError(f"deviation vectors must have size {dim}")
+    chart = _chart_of(model)
+    connection, curvature = _frame_tensors(chart, use_closed_form)
 
     def rhs(tau, y):
-        th, vel, jac, rate = (y[:dim], y[dim:2 * dim],
-                              y[2 * dim:3 * dim], y[3 * dim:])
-        gam = christoffel(model, th, use_closed_form=use_closed_form)
-        riem = riemann(model, th, use_closed_form=use_closed_form)
-        acc = -np.einsum("abc,b,c->a", gam, vel, vel)
-        dj = rate - np.einsum("abc,b,c->a", gam, vel, jac)
-        curv = np.einsum("mnrs,n,r,s->m", riem, vel, jac, vel)
-        dk = -np.einsum("abc,b,c->a", gam, vel, rate) - curv
-        return np.concatenate([vel, acc, dj, dk])
+        x, w, jac, rate = y[:dim], y[dim:2 * dim], y[2 * dim:3 * dim], y[3 * dim:]
+        along = w @ connection(x)  # omega^a_bc w^b as the matrix [a, c]
+        curv = ((curvature(x) @ w) @ jac) @ w
+        return np.concatenate([chart.lengths(x) * w, -along @ w,
+                               rate - along @ jac, -along @ rate - curv])
 
-    y0 = np.concatenate([traj.coords[0], traj.velocity[0], J0, dJ0])
-    states, event = _integrate_on_grid(
-        rhs, y0, traj.tau_grid, tol,
-        guard=lambda tau, y: _domain_guard(model, tau, y[:dim]))
-    n = len(states)
-    coords, velocity = states[:, :dim], states[:, dim:2 * dim]
-    jac, rate = states[:, 2 * dim:3 * dim], states[:, 3 * dim:]
-    return GeodesicTrajectory(
-        model_name=model.name,
-        tau_grid=traj.tau_grid[:n],
-        coords=coords,
-        velocity=velocity,
-        speed=_g_norms(model, coords, velocity),
-        jacobi=jac,
-        jacobi_rate=rate,
-        jacobi_norm=_g_norms(model, coords, jac),
-        boundary_event=event or traj.boundary_event,
-    )
+    y0 = _chart_state(chart, traj.coords[0], traj.velocity[0], J0, dJ0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        states = _integrate_on_grid(rhs, y0, traj.tau_grid, tol)
+        return _result(model, chart, traj.tau_grid, states)
 
 
 def estimate_lambda_j(traj: GeodesicTrajectory,

@@ -4,8 +4,9 @@ Three atomic families appear: the exponential law (mean-parametrized,
 the spacing law of uncorrelated levels), the Wigner-Dyson surmise
 (mean-parametrized, the level-repulsion law), and the one-dimensional
 Gaussian.  Each atomic kind has one ``AtomicKind`` record in ``KINDS``
-holding all its closed forms: density, moments, sampler and CDF, and its
-Fisher-Rao metric, connection, curvature and sqrt(det g) factors.
+holding all its closed forms: density, moments, sampler and CDF, its
+Fisher-Rao metric, connection, curvature and sqrt(det g) factors, and
+the same geometry in the log-scale chart that geodesics are integrated in.
 Composites are independent products of atomic factors, assembled from
 the records with no per-kind code; the two named ones pair a spacing law
 with a field-energy "bath" factor:
@@ -51,6 +52,14 @@ class AtomicKind:
     more than the arithmetic.  ``sqrt_g`` holds one function of a single
     coordinate per parameter, whose product is the block's sqrt(det g);
     ``sample_box`` is a finite per-parameter box for drawing test points.
+
+    The chart forms describe the block in chart coordinates x, with
+    x = log(theta) on scale parameters (``log_scale``), and in the frame
+    e_a = exp(frame_rates[a] . x) d/dx^a.  In that frame every atomic
+    block has the constant diagonal metric ``frame_metric`` and a
+    constant connection and curvature, written by ``frame_christoffel``
+    and ``frame_riemann`` (their ``theta`` argument is unused); the chart
+    metric itself is frame_metric[a] * exp(-2 frame_rates[a] . x).
     """
 
     kind: str
@@ -61,23 +70,33 @@ class AtomicKind:
     moments: Callable      # (theta, o) -> (mean, variance)
     sample: Callable       # (theta, o, count, rng) -> draws
     cdf: Callable          # (theta, o, x) -> P(X <= x)
-    metric: Callable       # (theta, o, g) writes g[o:o+k, o:o+k]
+    metric: Callable       # (theta, o, g) writes g[..., o:o+k, o:o+k]
     christoffel: Callable  # (theta, o, gamma) writes the block of Gamma^a_bc
     riemann: Callable      # (theta, o, riem) writes the block of R^m_nrs
     sqrt_g: tuple[Callable, ...]
+    frame_metric: tuple[float, ...]
+    frame_rates: tuple[tuple[float, ...], ...]
+    frame_christoffel: Callable  # (theta, o, gamma): the block in the frame
+    frame_riemann: Callable      # (theta, o, riem): the block in the frame
 
     @property
     def n_params(self) -> int:
         return len(self.param_domain)
 
+    @property
+    def log_scale(self) -> tuple[bool, ...]:
+        """Which parameters are scales, charted as their logarithm."""
+        return tuple(d == _POS for d in self.param_domain)
+
 
 # Both spacing laws are scale families p(x) = f(x/mu)/mu: their Fisher
 # metric is c/mu^2 for a constant c, the connection is -1/mu whatever c
-# is, and the one-dimensional block is flat.
+# is, and the one-dimensional block is flat.  In u = log(mu) the metric
+# is the constant c du^2, so the chart connection vanishes.
 
 def _scale_metric(c: float):
     def metric(theta, o, g):
-        g[o, o] = c / theta[o] ** 2
+        g[..., o, o] = c / theta[..., o] ** 2
     return metric
 
 
@@ -85,8 +104,9 @@ def _scale_christoffel(theta, o, gam):
     gam[o, o, o] = -1.0 / theta[o]
 
 
-def _flat(theta, o, riem):
-    """A one-dimensional block carries no curvature."""
+def _flat(theta, o, out):
+    """A one-dimensional block carries no curvature (nor, in its log chart,
+    any connection)."""
 
 
 def _wigner_dyson_log_density(theta, o, x):
@@ -119,9 +139,9 @@ def _gaussian_cdf(theta, o, x):
 
 
 def _gaussian_metric(theta, o, g):
-    s2 = theta[o + 1] ** 2
-    g[o, o] = 1.0 / s2
-    g[o + 1, o + 1] = 2.0 / s2
+    s2 = theta[..., o + 1] ** 2
+    g[..., o, o] = 1.0 / s2
+    g[..., o + 1, o + 1] = 2.0 / s2
 
 
 def _gaussian_christoffel(theta, o, gam):
@@ -131,14 +151,37 @@ def _gaussian_christoffel(theta, o, gam):
     gam[o + 1, o + 1, o + 1] = -1.0 / s
 
 
-def _gaussian_riemann(theta, o, riem):
-    """Constant sectional curvature -1/2: R^m_nrs = -(d^m_r g_sn - d^m_s g_rn)/2."""
-    s2 = theta[o + 1] ** 2
+def _half_plane_riemann(o, riem, g_mu, g_sigma):
+    """Constant sectional curvature -1/2: R^m_nrs = -(d^m_r g_sn - d^m_s g_rn)/2,
+    for the diagonal metric (g_mu, g_sigma) of the Gaussian block."""
     m, s = o, o + 1
-    riem[m, s, m, s] = -0.5 * (2.0 / s2)
-    riem[m, s, s, m] = 0.5 * (2.0 / s2)
-    riem[s, m, s, m] = -0.5 * (1.0 / s2)
-    riem[s, m, m, s] = 0.5 * (1.0 / s2)
+    riem[m, s, m, s] = -0.5 * g_sigma
+    riem[m, s, s, m] = 0.5 * g_sigma
+    riem[s, m, s, m] = -0.5 * g_mu
+    riem[s, m, m, s] = 0.5 * g_mu
+
+
+def _gaussian_riemann(theta, o, riem):
+    s2 = theta[o + 1] ** 2
+    _half_plane_riemann(o, riem, 1.0 / s2, 2.0 / s2)
+
+
+# In the chart (mu, u = log sigma) the Gaussian metric is
+# e^{-2u} dmu^2 + 2 du^2.  Its frame e_mu = e^u d/dmu, e_u = d/du has the
+# constant metric diag(1, 2) and constant connection: nabla_{e_mu} e_mu =
+# e_u / 2 and nabla_{e_mu} e_u = -e_mu.  The velocity components in it are
+# p = e^{-u} dmu/dtau and q = du/dtau, so the geodesic equation reads
+# dmu/dtau = e^u p, dp/dtau = p q, dq/dtau = -p^2 / 2: no product in it
+# over- or underflows however deep the geodesic runs into sigma -> 0.
+
+def _gaussian_frame_christoffel(theta, o, gam):
+    m, s = o, o + 1
+    gam[m, m, s] = -1.0
+    gam[s, m, m] = 0.5
+
+
+def _gaussian_frame_riemann(theta, o, riem):
+    _half_plane_riemann(o, riem, 1.0, 2.0)
 
 
 KINDS = {rec.kind: rec for rec in (
@@ -154,7 +197,11 @@ KINDS = {rec.kind: rec for rec in (
         metric=_scale_metric(1.0),
         christoffel=_scale_christoffel,
         riemann=_flat,
-        sqrt_g=(lambda v: 1.0 / v,)),
+        sqrt_g=(lambda v: 1.0 / v,),
+        frame_metric=(1.0,),
+        frame_rates=((0.0,),),
+        frame_christoffel=_flat,
+        frame_riemann=_flat),
     AtomicKind(
         WIGNER_DYSON, (_POS,), HALFLINE, (_SCALE_BOX,),
         log_density=_wigner_dyson_log_density,
@@ -167,7 +214,11 @@ KINDS = {rec.kind: rec for rec in (
         metric=_scale_metric(4.0),
         christoffel=_scale_christoffel,
         riemann=_flat,
-        sqrt_g=(lambda v: 2.0 / v,)),
+        sqrt_g=(lambda v: 2.0 / v,),
+        frame_metric=(4.0,),
+        frame_rates=((0.0,),),
+        frame_christoffel=_flat,
+        frame_riemann=_flat),
     AtomicKind(
         GAUSSIAN, (_REAL, _POS), REALLINE, (_LOCATION_BOX, _SCALE_BOX),
         log_density=_gaussian_log_density,
@@ -178,7 +229,11 @@ KINDS = {rec.kind: rec for rec in (
         christoffel=_gaussian_christoffel,
         riemann=_gaussian_riemann,
         sqrt_g=(lambda v: np.ones_like(np.asarray(v, dtype=float)),
-                lambda v: math.sqrt(2.0) / v ** 2)),
+                lambda v: math.sqrt(2.0) / v ** 2),
+        frame_metric=(1.0, 2.0),
+        frame_rates=((0.0, 1.0), (0.0, 0.0)),
+        frame_christoffel=_gaussian_frame_christoffel,
+        frame_riemann=_gaussian_frame_riemann),
 )}
 
 

@@ -24,19 +24,45 @@ def _steps(theta: np.ndarray, fd_step: float) -> np.ndarray:
     return fd_step * np.maximum(1.0, np.abs(theta))
 
 
+def _stencil_metric(model: ManifoldModel, points: np.ndarray,
+                    h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g[k] and dg[k, l, m, n] = d g_mn / d theta_l at each row k of
+    ``points``, by central differences with steps ``h[k]``; the whole
+    stencil goes to the metric as one stack."""
+    k, dim = points.shape
+    shifts = h[:, :, None] * np.eye(dim)  # shifts[k, l] = h[k, l] e_l
+    centre = points[:, None, :]
+    stencil = np.concatenate([centre, centre + shifts, centre - shifts], axis=1)
+    g = model.metrics(stencil.reshape(-1, dim)).reshape(k, 2 * dim + 1, dim, dim)
+    return g[:, 0], (g[:, 1:dim + 1] - g[:, dim + 1:]) / (2.0 * h)[:, :, None, None]
+
+
 def _metric_partials(model: ManifoldModel, theta: np.ndarray,
                      fd_step: float) -> np.ndarray:
     """dg[l, m, n] = d g_mn / d theta_l by central differences."""
-    dim = model.dim
-    h = _steps(theta, fd_step)
-    dg = np.empty((dim, dim, dim))
-    for l in range(dim):
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[l] += h[l]
-        lo[l] -= h[l]
-        dg[l] = (model.metric(hi) - model.metric(lo)) / (2.0 * h[l])
-    return dg
+    th = np.asarray(theta, dtype=float)[None, :]
+    return _stencil_metric(model, th, _steps(th, fd_step))[1][0]
+
+
+def _fd_christoffel(model: ManifoldModel, points: np.ndarray,
+                    fd_step: float) -> np.ndarray:
+    """Gamma[k, a, b, c] at each row k of ``points`` by central differences."""
+    k, dim = points.shape
+    h = _steps(points, fd_step)
+    if not model.contains(points, margin=float(np.max(h))):
+        raise DomainError(
+            f"point {points[0].tolist()} is closer than the differencing step "
+            f"to the boundary of model {model.name!r}")
+    g, dg = _stencil_metric(model, points, h)
+    # Gamma^a_bc = 1/2 g^{al} (d_b g_lc + d_c g_lb - d_l g_bc)
+    bracket = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise InversionError(
+            f"metric of model {model.name!r} is singular near {points[0].tolist()}"
+        ) from exc
+    return 0.5 * (ginv @ bracket.reshape(k, dim, dim * dim)).reshape(dg.shape)
 
 
 def _inverse_metric(model: ManifoldModel, theta: np.ndarray) -> np.ndarray:
@@ -55,32 +81,7 @@ def christoffel(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
     th = model.check_point(theta)
     if use_closed_form and model.christoffel_fn is not None:
         return np.asarray(model.christoffel_fn(th), dtype=float)
-    if not model.contains(th, margin=float(np.max(_steps(th, fd_step)))):
-        raise DomainError(
-            f"point {th.tolist()} is closer than the differencing step to the "
-            f"boundary of model {model.name!r}")
-    ginv = _inverse_metric(model, th)
-    dg = _metric_partials(model, th, fd_step)
-    # Gamma^a_bc = 1/2 g^{al} (d_b g_lc + d_c g_lb - d_l g_bc)
-    bracket = (np.einsum("blc->lbc", dg) + np.einsum("clb->lbc", dg)
-               - np.einsum("lbc->lbc", dg))
-    return 0.5 * np.einsum("al,lbc->abc", ginv, bracket)
-
-
-def _christoffel_partials(model: ManifoldModel, theta: np.ndarray,
-                          fd_step: float, use_closed_form: bool) -> np.ndarray:
-    """dG[r, a, b, c] = d Gamma^a_{bc} / d theta_r."""
-    dim = model.dim
-    h = _steps(theta, fd_step)
-    dG = np.empty((dim, dim, dim, dim))
-    for r in range(dim):
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[r] += h[r]
-        lo[r] -= h[r]
-        dG[r] = (christoffel(model, hi, fd_step, use_closed_form)
-                 - christoffel(model, lo, fd_step, use_closed_form)) / (2.0 * h[r])
-    return dG
+    return _fd_christoffel(model, th[None, :], fd_step)[0]
 
 
 def riemann(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
@@ -89,8 +90,17 @@ def riemann(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
     th = model.check_point(theta)
     if use_closed_form and model.riemann_fn is not None:
         return np.asarray(model.riemann_fn(th), dtype=float)
-    gam = christoffel(model, th, fd_step, use_closed_form)
-    dG = _christoffel_partials(model, th, fd_step, use_closed_form)
+    # Gamma at theta and at theta +/- h e_r for each r, in one stack.
+    h = _steps(th, fd_step)
+    points = np.concatenate([th[None, :], th + np.diag(h), th - np.diag(h)])
+    if use_closed_form and model.christoffel_fn is not None:
+        gams = np.array([christoffel(model, p) for p in points])
+    else:
+        gams = _fd_christoffel(model, points, fd_step)
+    dim = model.dim
+    gam = gams[0]
+    # dG[r, a, b, c] = d Gamma^a_{bc} / d theta_r
+    dG = (gams[1:dim + 1] - gams[dim + 1:]) / (2.0 * h)[:, None, None, None]
     term_d = (np.einsum("rmsn->mnrs", dG) - np.einsum("smrn->mnrs", dG))
     term_q = (np.einsum("mrl,lsn->mnrs", gam, gam)
               - np.einsum("msl,lrn->mnrs", gam, gam))

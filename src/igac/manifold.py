@@ -11,13 +11,18 @@ The two prebuilt manifolds are the 2-d exponential x exponential model
 (metric diag(1/mu_A^2, 1/mu_B^2), flat) and the 3-d Wigner-Dyson x
 Gaussian model (metric diag(4/mu_A^2, 1/sigma_B^2, 2/sigma_B^2), whose
 Gaussian block has constant sectional curvature -1/2).
+
+Each model also carries the ``Chart`` its geodesics are integrated in:
+scale coordinates become their logarithms, which maps every prebuilt
+manifold onto all of R^dim, and vectors are carried in a frame in which
+the metric, connection and curvature are constant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -34,13 +39,15 @@ class ManifoldModel:
     """A coordinate domain with a metric field and optional closed forms.
 
     ``metric_fn`` maps a coordinate vector to a symmetric positive
-    definite (dim x dim) matrix.  ``sqrt_g_factors`` holds per-
+    definite (dim x dim) matrix, and a (k, dim) stack of points to the
+    (k, dim, dim) stack of their metrics, so that finite differences
+    evaluate a whole stencil in one call.  ``sqrt_g_factors`` holds per-
     coordinate functions whose product is sqrt(det g); the volume
     integrals need the determinant to factorize.  ``christoffel_fn``/
     ``riemann_fn`` are optional exact overrides used as oracles for (and
     fast paths around) the finite-difference pipeline; ``sample_box``
     is a finite per-coordinate box used when drawing random in-domain
-    test points.
+    test points; ``chart`` is the chart geodesics are integrated in.
     """
 
     name: str
@@ -52,6 +59,19 @@ class ManifoldModel:
     christoffel_fn: Callable[[np.ndarray], np.ndarray] | None = None
     riemann_fn: Callable[[np.ndarray], np.ndarray] | None = None
     sample_box: tuple[tuple[float, float], ...] = field(default=())
+    chart: "Chart | None" = None
+
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        box = np.asarray(self.domain, dtype=float).reshape(self.dim, 2)
+        return box[:, 0], box[:, 1]
+
+    def _inside(self, arr: np.ndarray, margin: float) -> np.ndarray:
+        # Open intervals with infinite ends also reject inf and NaN.
+        lo, hi = self._bounds
+        if margin:
+            lo, hi = lo + margin, hi - margin
+        return (lo < arr) & (arr < hi)
 
     def check_point(self, theta, margin: float = 0.0) -> np.ndarray:
         """Validate a coordinate vector, naming the offending coordinate."""
@@ -59,20 +79,21 @@ class ManifoldModel:
         if arr.size != self.dim:
             raise ShapeError(
                 f"model {self.name!r} has dim {self.dim}, got point of size {arr.size}")
-        for i, (val, (lo, hi)) in enumerate(zip(arr, self.domain)):
-            if not (lo + margin < val < hi - margin) or not np.isfinite(val):
-                raise DomainError(
-                    f"coordinate {self.coord_names[i]}={val!r} outside open "
-                    f"interval ({lo}, {hi}) of model {self.name!r}",
-                    parameter=self.coord_names[i])
+        inside = self._inside(arr, margin)
+        if np.count_nonzero(inside) < self.dim:
+            i = int(np.argmin(inside))
+            lo, hi = self.domain[i]
+            raise DomainError(
+                f"coordinate {self.coord_names[i]}={arr[i]!r} outside open "
+                f"interval ({lo}, {hi}) of model {self.name!r}",
+                parameter=self.coord_names[i])
         return arr
 
     def contains(self, theta, margin: float = 0.0) -> bool:
-        arr = np.asarray(theta, dtype=float).reshape(-1)
-        if arr.size != self.dim:
-            return False
-        return all(lo + margin < v < hi - margin and np.isfinite(v)
-                   for v, (lo, hi) in zip(arr, self.domain))
+        """Whether a point, or every row of a stack of points, is inside."""
+        arr = np.asarray(theta, dtype=float)
+        return (arr.shape[-1:] == (self.dim,)
+                and np.count_nonzero(self._inside(arr, margin)) == arr.size)
 
     def metric(self, theta) -> np.ndarray:
         g = np.asarray(self.metric_fn(np.asarray(theta, dtype=float)), dtype=float)
@@ -82,6 +103,15 @@ class ManifoldModel:
                 f"expected {(self.dim, self.dim)}")
         return g
 
+    def metrics(self, points: np.ndarray) -> np.ndarray:
+        """The metric at each row of a (k, dim) stack of points."""
+        g = np.asarray(self.metric_fn(points), dtype=float)
+        if g.shape != (len(points), self.dim, self.dim):
+            raise ShapeError(
+                f"metric of model {self.name!r} returned shape {g.shape} for "
+                f"{len(points)} points, expected {(len(points), self.dim, self.dim)}")
+        return g
+
     def random_points(self, count: int, seed: int) -> np.ndarray:
         """Uniform points in the model's finite sampling box."""
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -89,13 +119,76 @@ class ManifoldModel:
         return box[:, 0] + rng.random((count, self.dim)) * (box[:, 1] - box[:, 0])
 
 
+@dataclass(frozen=True, eq=False)
+class Chart:
+    """The chart and frame in which a model's geodesics are integrated.
+
+    Chart coordinates are x = log(theta) on the ``log_scale`` coordinates
+    and x = theta on the others.  Vectors are carried as components w in
+    the frame e_a = exp(rates[a] . x) d/dx^a, so dx/dtau = lengths(x) * w
+    and d(theta)/dtau = theta_lengths(x) * w, and their g-norms use the
+    constant diagonal ``frame_metric``.  ``model`` is the manifold in
+    chart coordinates: its ``metric_fn`` is the chart metric in coordinate
+    components, which the finite-difference path differentiates, while
+    its ``christoffel_fn`` and ``riemann_fn`` give the closed forms as
+    frame components (``frame_connection`` and ``frame_curvature``
+    convert the finite-difference tensors to the same components).
+    The coordinate maps, ``lengths``, ``theta_lengths`` and ``norms`` take
+    one point or a stack of points, one per row.
+    """
+
+    model: ManifoldModel
+    log_scale: np.ndarray
+    rates: np.ndarray
+    frame_metric: np.ndarray
+
+    def to_chart(self, theta) -> np.ndarray:
+        x = np.array(theta, dtype=float)
+        x[..., self.log_scale] = np.log(x[..., self.log_scale])
+        return x
+
+    def from_chart(self, x) -> np.ndarray:
+        theta = np.array(x, dtype=float)
+        theta[..., self.log_scale] = np.exp(theta[..., self.log_scale])
+        return theta
+
+    def lengths(self, x) -> np.ndarray:
+        """Chart-coordinate lengths of the frame vectors."""
+        return np.exp(x @ self.rates.T)
+
+    def theta_lengths(self, x) -> np.ndarray:
+        """theta-coordinate lengths of the frame vectors."""
+        return np.exp(x @ (self.rates + np.diag(self.log_scale)).T)
+
+    def norms(self, w) -> np.ndarray:
+        """g-norms of frame components, free of overflow in the squares."""
+        return np.hypot.reduce(w * np.sqrt(self.frame_metric), axis=-1)
+
+    def frame_connection(self, x, gam: np.ndarray) -> np.ndarray:
+        """Frame components omega^a_bc of a connection given in chart
+        coordinates, with nabla_{e_b} e_c = omega^a_bc e_a."""
+        e = self.lengths(x)
+        out = gam * (e[None, :, None] * e[None, None, :] / e[:, None, None])
+        # e_c's length varies along e_b: + delta^a_c e_b d_b log|e_c|.
+        diag = np.arange(len(e))
+        out[diag, :, diag] += self.rates * e[None, :]
+        return out
+
+    def frame_curvature(self, x, riem: np.ndarray) -> np.ndarray:
+        """Frame components of a curvature tensor given in chart coordinates."""
+        e = self.lengths(x)
+        return riem * (e[None, :, None, None] * e[None, None, :, None]
+                       * e[None, None, None, :] / e[:, None, None, None])
+
+
 # ---------------------------------------------------------------------------
 # Closed-form Fisher metrics
 # ---------------------------------------------------------------------------
 
 def _assemble(blocks, shape: tuple[int, ...], theta: np.ndarray) -> np.ndarray:
-    """Zero tensor of ``shape`` with each (writer, offset) block written in."""
-    out = np.zeros(shape)
+    """Zero tensor of ``shape`` (one per row of a stack of points) with
+    each (writer, offset) block written in."""
+    out = np.zeros(np.shape(theta)[:-1] + shape)
     for write, o in blocks:
         write(theta, o, out)
     return out
@@ -223,11 +316,49 @@ def line_element(model: ManifoldModel, theta, dtheta) -> float:
 # Model construction from families
 # ---------------------------------------------------------------------------
 
+def _chart_metric(eye_metric: np.ndarray, rates: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """diag(frame_metric * exp(-2 rates . x)) at a point or a stack of
+    points, given eye_metric = diag(frame_metric) and rates scaled by -2."""
+    return np.exp(x @ rates.T)[..., None, :] * eye_metric
+
+
+def _constant(tensor: np.ndarray, x) -> np.ndarray:
+    return tensor
+
+
+def _log_chart(layout, name: str, coord_names: tuple[str, ...],
+               domain: tuple[tuple[float, float], ...]) -> Chart:
+    """The log-scale chart of a family, assembled from its factor records."""
+    dim = len(coord_names)
+    log_scale = np.array([f for rec, _ in layout for f in rec.log_scale])
+    rates = np.zeros((dim, dim))
+    for rec, o in layout:
+        rates[o:o + rec.n_params, o:o + rec.n_params] = rec.frame_rates
+    frame_metric = np.array([g for rec, _ in layout for g in rec.frame_metric])
+    chart_model = ManifoldModel(
+        name=f"{name} (log chart)",
+        dim=dim,
+        coord_names=tuple(f"log {c}" if ls else c
+                          for c, ls in zip(coord_names, log_scale)),
+        domain=tuple((-math.inf, math.inf) if ls else d
+                     for d, ls in zip(domain, log_scale)),
+        metric_fn=partial(_chart_metric, np.diag(frame_metric), -2.0 * rates),
+        sqrt_g_factors=(),
+        christoffel_fn=partial(
+            _constant, _closed_form(layout, "frame_christoffel", 3)(None)),
+        riemann_fn=partial(
+            _constant, _closed_form(layout, "frame_riemann", 4)(None)),
+    )
+    return Chart(chart_model, log_scale, rates, frame_metric)
+
+
 def model_from_family(fam: FamilySpec, name: str | None = None) -> ManifoldModel:
     """Statistical manifold of a family under its Fisher-Rao metric."""
     layout = factor_layout(fam)
+    name = name or fam.name
     return ManifoldModel(
-        name=name or fam.name,
+        name=name,
         dim=fam.n_params,
         coord_names=fam.param_names,
         domain=fam.param_domain,
@@ -236,6 +367,7 @@ def model_from_family(fam: FamilySpec, name: str | None = None) -> ManifoldModel
         christoffel_fn=_closed_form(layout, "christoffel", 3),
         riemann_fn=_closed_form(layout, "riemann", 4),
         sample_box=tuple(b for rec, _ in layout for b in rec.sample_box),
+        chart=_log_chart(layout, name, fam.param_names, fam.param_domain),
     )
 
 
@@ -257,12 +389,12 @@ def gaussian_model() -> ManifoldModel:
 def euclidean_model(dim: int = 2) -> ManifoldModel:
     """Flat test model with the identity metric in Cartesian coordinates."""
     eye = np.eye(dim)
-    return ManifoldModel(
+    flat = ManifoldModel(
         name="euclidean",
         dim=dim,
         coord_names=tuple(f"x{i}" for i in range(dim)),
         domain=((-math.inf, math.inf),) * dim,
-        metric_fn=lambda theta: eye.copy(),
+        metric_fn=lambda theta: np.zeros(np.shape(theta)[:-1] + eye.shape) + eye,
         sqrt_g_factors=tuple(
             (lambda v: np.ones_like(np.asarray(v, dtype=float)))
             for _ in range(dim)),
@@ -270,6 +402,9 @@ def euclidean_model(dim: int = 2) -> ManifoldModel:
         riemann_fn=lambda theta: np.zeros((dim, dim, dim, dim)),
         sample_box=tuple((-2.0, 2.0) for _ in range(dim)),
     )
+    # Cartesian coordinates are their own chart and frame.
+    return replace(flat, chart=Chart(flat, np.zeros(dim, dtype=bool),
+                                     np.zeros((dim, dim)), np.ones(dim)))
 
 
 _MODEL_FACTORIES = {

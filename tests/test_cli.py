@@ -92,6 +92,20 @@ def test_geodesic_files_and_summary(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_geodesic_deep_into_the_gaussian_chart(tmp_path):
+    # sigma = exp(-1000 tau) leaves float64 at tau ~ 0.75 and is written as
+    # 0.0, float64's value of e^-10000; the manifold is complete, so the
+    # run succeeds and the speed stays put.
+    out = tmp_path / "deep"
+    rc = main(["geodesic", "--manifold", "gaussian", "--theta0", "0,1",
+               "--v0", "0,-1000", "--out", str(out)])
+    assert rc == 0
+    rep = read_json(out / "geodesic.json")
+    assert rep["final_coords"] == [0.0, 0.0]
+    assert rep["boundary_event"] is None
+    assert rep["speed_drift"] <= 1e-9 * 1000.0 * np.sqrt(2.0)
+
+
 def test_jacobi_gaussian_lambda(tmp_path):
     out = tmp_path / "j"
     rc = main(["jacobi", "--manifold", "gaussian", "--tol", "1e-10",

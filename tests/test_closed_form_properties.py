@@ -58,6 +58,23 @@ def test_riemann_matches_finite_differences(name, data):
 @pytest.mark.parametrize("name", NAMES)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
+def test_chart_frame_forms_match_finite_differences(name, data):
+    # The records' frame connection and curvature against finite
+    # differences of the chart metric, turned into frame components.
+    chart = model_from_family(family(name)).chart
+    x = chart.to_chart(draw_point(data, model_from_family(family(name))))
+    cm = chart.model
+    np.testing.assert_allclose(
+        chart.frame_connection(x, christoffel(cm, x, use_closed_form=False)),
+        christoffel(cm, x), atol=5e-7)
+    np.testing.assert_allclose(
+        chart.frame_curvature(x, riemann(cm, x, use_closed_form=False)),
+        riemann(cm, x), atol=1e-5)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
 def test_sqrt_g_factors_multiply_to_sqrt_det(name, data):
     mdl = model_from_family(family(name))
     theta = draw_point(data, mdl)

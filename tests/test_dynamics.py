@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igac import (InsufficientDataError, ShapeError, SingularityError,
                   chaotic_model, estimate_lambda_j, euclidean_model,
                   gaussian_model, integrable_model, integrate_geodesic,
-                  integrate_jacobi, reverse_initial_conditions)
+                  integrate_jacobi, model, reverse_initial_conditions)
+from igac.dynamics import _integrate_on_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -58,15 +61,84 @@ def test_time_reversal_round_trip():
     assert np.max(np.abs(back.coords[-1] - [1.0, 1.0])) < 1e-6
 
 
-def test_boundary_event_truncates():
+def test_complete_geodesic_runs_to_the_end():
+    # mu_A = exp(-tau) passes any fixed distance from 0; the manifold is
+    # complete, so nothing may stop the geodesic there.
     traj = integrate_geodesic(integrable_model(), (1.0, 1.0), (-1.0, 0.0),
                               30.0, tol=1e-8)
-    assert traj.boundary_event is not None
-    assert traj.boundary_event.coordinate_name == "mu_A"
-    # mu_A = exp(-tau) crosses the 1e-9 margin near tau = ln(1e9) ~ 20.7
-    assert traj.boundary_event.tau == pytest.approx(9.0 * math.log(10.0), rel=0.05)
-    assert traj.n_samples < 512
-    assert traj.tau_grid[-1] <= traj.boundary_event.tau
+    assert traj.boundary_event is None
+    assert traj.n_samples == 512 and traj.tau_grid[-1] == 30.0
+    np.testing.assert_allclose(traj.coords[:, 0], np.exp(-traj.tau_grid),
+                               rtol=1e-12)
+    np.testing.assert_allclose(traj.coords[:, 1], 1.0, rtol=0.0)
+
+
+def test_deep_geodesics_reach_their_closed_forms():
+    # sigma = exp(-50 tau) and mu_A = exp(-50 tau): at tau = 10 both are
+    # e^-500, far inside float64 and far below any fixed margin.
+    gauss = integrate_geodesic(gaussian_model(), (0.0, 1.0), (0.0, -50.0), 10.0)
+    assert gauss.coords[-1, 1] == pytest.approx(math.exp(-500.0), rel=1e-9)
+    integ = integrate_geodesic(integrable_model(), (1.0, 1.0), (-50.0, 0.0), 10.0)
+    assert integ.coords[-1, 0] == pytest.approx(math.exp(-500.0), rel=1e-9)
+
+
+def test_speed_conserved_past_float_range_of_the_metric():
+    # mu_A = e^{50 tau} passes 1e154, where 1/mu_A^2 underflows; the speed
+    # is taken in the chart frame and stays 50.
+    traj = integrate_geodesic(integrable_model(), (1.0, 1.0), (50.0, 0.0), 10.0)
+    assert traj.coords[-1, 0] > 1e200
+    assert np.max(np.abs(traj.speed / 50.0 - 1.0)) <= 1e-8
+    # Past float64's range mu_A comes back as inf, with no exception.
+    far = integrate_geodesic(integrable_model(), (1.0, 1.0), (1000.0, 0.0), 10.0)
+    assert far.coords[-1, 0] == math.inf
+    np.testing.assert_allclose(far.speed, 1000.0, rtol=1e-12)
+
+
+def test_first_same_as_last_stage_survives_a_rejected_step():
+    # y' = g(t) with a narrow bump: steps grow on the flat part and are
+    # rejected at the bump.  Each retry must start from g at its own start,
+    # not from the last stage the rejected attempt left in the buffer.
+    def rhs(t, y):
+        return np.array([1.0 / (1.0 + 400.0 * (t - 5.0) ** 2)])
+
+    grid = np.linspace(0.0, 10.0, 11)
+    out = _integrate_on_grid(rhs, np.zeros(1), grid, tol=1e-10)
+    exact = (np.arctan(20.0 * (grid - 5.0)) + np.arctan(100.0)) / 20.0
+    np.testing.assert_allclose(out[:, 0], exact, rtol=0.0, atol=1e-8)
+
+
+def test_non_finite_derivative_shrinks_the_step_to_singularity():
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) > 10_000:
+            raise RuntimeError("a NaN error estimate did not shrink the step")
+        return np.array([math.nan if t > 3.0 else 1.0])
+
+    with pytest.raises(SingularityError) as err:
+        _integrate_on_grid(rhs, np.zeros(1), np.linspace(0.0, 10.0, 5), tol=1e-8)
+    tau, state = err.value.last_state
+    assert tau <= 3.0 and state[0] == pytest.approx(tau)
+    assert len(calls) < 1000
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(("integrable", "chaotic", "gaussian")),
+       speed=st.floats(1e-3, 100.0))
+def test_any_start_and_direction_in_the_box_completes(data, name, speed):
+    mdl = model(name)
+    theta0 = np.array(data.draw(st.tuples(
+        *(st.floats(lo, hi) for lo, hi in mdl.sample_box))))
+    w = np.array(data.draw(st.tuples(*(st.floats(-1.0, 1.0),) * mdl.dim)))
+    if np.linalg.norm(w) < 1e-3:
+        w = np.eye(mdl.dim)[0]
+    # v = L^-T w / |w| has g-norm 1 when g = L L^T.
+    chol = np.linalg.cholesky(mdl.metric(theta0))
+    v0 = speed * np.linalg.solve(chol.T, w / np.linalg.norm(w))
+    traj = integrate_geodesic(mdl, theta0, v0, 10.0, samples=64)
+    assert traj.n_samples == 64 and traj.boundary_event is None
+    assert np.max(np.abs(traj.speed / speed - 1.0)) <= 1e-6
 
 
 def test_step_underflow_raises_singularity():
@@ -77,7 +149,12 @@ def test_step_underflow_raises_singularity():
 
 
 def test_geodesic_validation():
-    from igac.errors import DomainError
+    from dataclasses import replace
+
+    from igac.errors import DomainError, InapplicableError
+    with pytest.raises(InapplicableError):
+        integrate_geodesic(replace(gaussian_model(), chart=None), (0.0, 1.0),
+                           (1.0, 0.0), 1.0)
     with pytest.raises(DomainError):
         integrate_geodesic(integrable_model(), (1.0, 1.0), (1.0, 0.0), -1.0)
     with pytest.raises(DomainError):
