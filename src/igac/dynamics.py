@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import (DomainError, InapplicableError, InsufficientDataError,
                      InversionError, ShapeError, SingularityError)
-from .geometry import christoffel, riemann
+from .geometry import (christoffel, curvature_stencil, riemann,
+                       riemann_from_stencil)
 from .manifold import Chart, ManifoldModel
 
 # Dormand-Prince 5(4) tableau; the fifth-order row propagates.
@@ -167,32 +168,55 @@ def _chart_of(model: ManifoldModel) -> Chart:
     return model.chart
 
 
-def _frame_tensors(chart: Chart, use_closed_form: bool):
-    """Callables x -> frame components of the connection and the curvature.
+def _frame_connection(chart: Chart, use_closed_form: bool):
+    """Callable x -> frame components of the connection.
 
     The chart model's closed forms are frame components already; its
-    finite-difference tensors are chart components and are converted.
+    finite-difference connection is in chart components and is converted.
     At a stage outside the chart, or where the chart metric leaves
-    float64's range, they return NaN, which rejects the step.
+    float64's range, it returns NaN, which rejects the step.
     """
     cm = chart.model
     closed = use_closed_form and cm.christoffel_fn is not None
+    undefined = np.full((cm.dim,) * 3, np.nan)
 
     def connection(x):
         try:
             gam = christoffel(cm, x, use_closed_form=closed)
         except (DomainError, InversionError):
-            return np.full((cm.dim,) * 3, np.nan)
+            return undefined
         return gam if closed else chart.frame_connection(x, gam)
 
-    def curvature(x):
-        try:
-            riem = riemann(cm, x, use_closed_form=closed)
-        except (DomainError, InversionError):
-            return np.full((cm.dim,) * 4, np.nan)
-        return riem if closed else chart.frame_curvature(x, riem)
+    return connection
 
-    return connection, curvature
+
+def _frame_tensors(chart: Chart, use_closed_form: bool):
+    """Callable x -> frame components of the connection and the curvature,
+    NaN where they are undefined (as in ``_frame_connection``).
+
+    Finite differences make one ``christoffel`` call on the curvature
+    stencil of x: one metric call and one batched inverse give the
+    connection at x (row 0) and the curvature from all rows.
+    """
+    cm = chart.model
+    undefined = (np.full((cm.dim,) * 3, np.nan), np.full((cm.dim,) * 4, np.nan))
+    if (use_closed_form and cm.christoffel_fn is not None
+            and cm.riemann_fn is not None):
+        def tensors(x):
+            try:
+                return christoffel(cm, x), riemann(cm, x)
+            except (DomainError, InversionError):
+                return undefined
+    else:
+        def tensors(x):
+            points, h = curvature_stencil(cm, x)
+            try:
+                gams = christoffel(cm, points, use_closed_form=False)
+            except (DomainError, InversionError):
+                return undefined
+            return chart.frame_tensors(x, gams[0], riemann_from_stencil(gams, h))
+
+    return tensors
 
 
 def _result(model: ManifoldModel, chart: Chart, grid: np.ndarray,
@@ -242,7 +266,7 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     chart = _chart_of(model)
-    connection, _ = _frame_tensors(chart, use_closed_form)
+    connection = _frame_connection(chart, use_closed_form)
     dim = model.dim
 
     def rhs(tau, y):
@@ -275,12 +299,13 @@ def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
     if J0.size != dim or dJ0.size != dim:
         raise ShapeError(f"deviation vectors must have size {dim}")
     chart = _chart_of(model)
-    connection, curvature = _frame_tensors(chart, use_closed_form)
+    tensors = _frame_tensors(chart, use_closed_form)
 
     def rhs(tau, y):
         x, w, jac, rate = y[:dim], y[dim:2 * dim], y[2 * dim:3 * dim], y[3 * dim:]
-        along = w @ connection(x)  # omega^a_bc w^b as the matrix [a, c]
-        curv = ((curvature(x) @ w) @ jac) @ w
+        gam, riem = tensors(x)
+        along = w @ gam  # omega^a_bc w^b as the matrix [a, c]
+        curv = ((riem @ w) @ jac) @ w
         return np.concatenate([chart.lengths(x) * w, -along @ w,
                                rate - along @ jac, -along @ rate - curv])
 

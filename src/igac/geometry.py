@@ -65,6 +65,40 @@ def _fd_christoffel(model: ManifoldModel, points: np.ndarray,
     return 0.5 * (ginv @ bracket.reshape(k, dim, dim * dim)).reshape(dg.shape)
 
 
+def curvature_stencil(model: ManifoldModel, theta: np.ndarray,
+                      fd_step: float = DEFAULT_FD_STEP
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The points theta, theta + h_r e_r and theta - h_r e_r (one per row,
+    r = 0..dim-1) and the steps h.  The Christoffel symbols at these rows
+    give the connection at theta (row 0) and, through
+    ``riemann_from_stencil``, the curvature there."""
+    th = np.asarray(theta, dtype=float)
+    h = _steps(th, fd_step)
+    return np.concatenate([th[None, :], th + np.diag(h), th - np.diag(h)]), h
+
+
+def riemann_from_stencil(gams: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """R[m, n, r, s] = R^m_{nrs} from the Christoffel symbols ``gams`` at
+    the rows of a ``curvature_stencil`` with steps ``h``."""
+    dim = len(h)
+    gam = gams[0]
+    # dG[r, a, b, c] = d Gamma^a_{bc} / d theta_r
+    dG = (gams[1:dim + 1] - gams[dim + 1:]) / (2.0 * h)[:, None, None, None]
+    term_d = (np.einsum("rmsn->mnrs", dG) - np.einsum("smrn->mnrs", dG))
+    term_q = (np.einsum("mrl,lsn->mnrs", gam, gam)
+              - np.einsum("msl,lrn->mnrs", gam, gam))
+    return term_d + term_q
+
+
+def _fd_tensors(model: ManifoldModel, th: np.ndarray,
+                fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma and R at a validated point from one stacked pass over its
+    curvature stencil: one metric call, one batched inverse."""
+    points, h = curvature_stencil(model, th, fd_step)
+    gams = _fd_christoffel(model, points, fd_step)
+    return gams[0], riemann_from_stencil(gams, h)
+
+
 def _inverse_metric(model: ManifoldModel, theta: np.ndarray) -> np.ndarray:
     g = model.metric(theta)
     try:
@@ -77,34 +111,38 @@ def _inverse_metric(model: ManifoldModel, theta: np.ndarray) -> np.ndarray:
 
 def christoffel(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
                 use_closed_form: bool = True) -> np.ndarray:
-    """Levi-Civita connection Gamma[a, b, c] = Gamma^a_{bc}."""
-    th = model.check_point(theta)
-    if use_closed_form and model.christoffel_fn is not None:
-        return np.asarray(model.christoffel_fn(th), dtype=float)
-    return _fd_christoffel(model, th[None, :], fd_step)[0]
+    """Levi-Civita connection Gamma[a, b, c] = Gamma^a_{bc}.
+
+    ``theta`` may also be a (k, dim) stack of points, giving Gamma at each
+    row; finite differences then evaluate every row's stencil in one
+    metric call with one batched inverse.
+    """
+    arr = np.asarray(theta, dtype=float)
+    closed = use_closed_form and model.christoffel_fn is not None
+    if arr.ndim != 2:
+        th = model.check_point(arr)
+        if closed:
+            return np.asarray(model.christoffel_fn(th), dtype=float)
+        return _fd_christoffel(model, th[None, :], fd_step)[0]
+    if not model.contains(arr):
+        for p in arr:  # names the offending coordinate
+            model.check_point(p)
+    if closed:
+        return np.array([model.christoffel_fn(p) for p in arr], dtype=float)
+    return _fd_christoffel(model, arr, fd_step)
 
 
 def riemann(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
             use_closed_form: bool = True) -> np.ndarray:
-    """Curvature tensor R[m, n, r, s] = R^m_{nrs}."""
+    """Curvature tensor R[m, n, r, s] = R^m_{nrs}.
+
+    Finite differences take the connection on the ``curvature_stencil``
+    in one stacked pass and assemble R with ``riemann_from_stencil``.
+    """
     th = model.check_point(theta)
     if use_closed_form and model.riemann_fn is not None:
         return np.asarray(model.riemann_fn(th), dtype=float)
-    # Gamma at theta and at theta +/- h e_r for each r, in one stack.
-    h = _steps(th, fd_step)
-    points = np.concatenate([th[None, :], th + np.diag(h), th - np.diag(h)])
-    if use_closed_form and model.christoffel_fn is not None:
-        gams = np.array([christoffel(model, p) for p in points])
-    else:
-        gams = _fd_christoffel(model, points, fd_step)
-    dim = model.dim
-    gam = gams[0]
-    # dG[r, a, b, c] = d Gamma^a_{bc} / d theta_r
-    dG = (gams[1:dim + 1] - gams[dim + 1:]) / (2.0 * h)[:, None, None, None]
-    term_d = (np.einsum("rmsn->mnrs", dG) - np.einsum("smrn->mnrs", dG))
-    term_q = (np.einsum("mrl,lsn->mnrs", gam, gam)
-              - np.einsum("msl,lrn->mnrs", gam, gam))
-    return term_d + term_q
+    return _fd_tensors(model, th, fd_step)[1]
 
 
 @dataclass(frozen=True)
@@ -141,11 +179,15 @@ def _orthonormal_plane(g: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.nd
 
 def _assemble(model: ManifoldModel, th: np.ndarray, gam: np.ndarray,
               riem: np.ndarray, fd_step: float,
-              consistency: float) -> CurvatureReport:
+              coarse: np.ndarray | None) -> CurvatureReport:
+    """The report from Gamma and R; ``coarse`` is R at twice the
+    differencing step, for the step-halving check (None for closed forms)."""
     g = model.metric(th)
     ginv = _inverse_metric(model, th)
     ricci = np.einsum("mnms->ns", riem)
     scalar = float(np.einsum("ns,ns->", ginv, ricci))
+    consistency = 0.0 if coarse is None else abs(scalar - float(np.einsum(
+        "ns,ns->", ginv, np.einsum("mnms->ns", coarse))))
     sectional: dict[tuple[int, int], float] = {}
     for i in range(model.dim):
         for j in range(i + 1, model.dim):
@@ -162,26 +204,18 @@ def curvature(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
     """Full curvature report; finite differences carry a step-halving check.
 
     On the finite-difference path the reported tensors come from the
-    halved step (the more accurate of the two evaluations).
+    halved step (the more accurate of the two evaluations), Gamma and R
+    from one stacked pass.
     """
     th = model.check_point(theta)
     if use_closed_form and model.riemann_fn is not None:
         gam = christoffel(model, th, fd_step, use_closed_form=True)
         riem = riemann(model, th, fd_step, use_closed_form=True)
-        return _assemble(model, th, gam, riem, fd_step, 0.0)
-    riem_coarse = riemann(model, th, fd_step, use_closed_form)
-    ginv = _inverse_metric(model, th)
-    scalar_coarse = float(np.einsum(
-        "ns,ns->", ginv, np.einsum("mnms->ns", riem_coarse)))
+        return _assemble(model, th, gam, riem, fd_step, None)
+    coarse = riemann(model, th, fd_step, use_closed_form=False)
     half = fd_step / 2.0
-    gam = christoffel(model, th, half, use_closed_form)
-    riem_fine = riemann(model, th, half, use_closed_form)
-    report = _assemble(model, th, gam, riem_fine, half, 0.0)
-    return CurvatureReport(
-        point=report.point, christoffel=report.christoffel,
-        riemann=report.riemann, ricci=report.ricci, scalar=report.scalar,
-        sectional=report.sectional, fd_step=half,
-        scalar_consistency=abs(report.scalar - scalar_coarse))
+    gam, riem = _fd_tensors(model, th, half)
+    return _assemble(model, th, gam, riem, half, coarse)
 
 
 @dataclass(frozen=True)

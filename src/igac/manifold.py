@@ -131,8 +131,8 @@ class Chart:
     chart coordinates: its ``metric_fn`` is the chart metric in coordinate
     components, which the finite-difference path differentiates, while
     its ``christoffel_fn`` and ``riemann_fn`` give the closed forms as
-    frame components (``frame_connection`` and ``frame_curvature``
-    convert the finite-difference tensors to the same components).
+    frame components (``frame_connection`` and ``frame_tensors`` convert
+    the finite-difference tensors to the same components).
     The coordinate maps, ``lengths``, ``theta_lengths`` and ``norms`` take
     one point or a stack of points, one per row.
     """
@@ -167,18 +167,23 @@ class Chart:
     def frame_connection(self, x, gam: np.ndarray) -> np.ndarray:
         """Frame components omega^a_bc of a connection given in chart
         coordinates, with nabla_{e_b} e_c = omega^a_bc e_a."""
+        return self._frame_connection(self.lengths(x), gam)
+
+    def frame_tensors(self, x, gam: np.ndarray,
+                      riem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Frame components of a connection and of a curvature tensor given
+        in chart coordinates, from one evaluation of the frame lengths."""
         e = self.lengths(x)
+        return self._frame_connection(e, gam), riem * (
+            e[None, :, None, None] * e[None, None, :, None]
+            * e[None, None, None, :] / e[:, None, None, None])
+
+    def _frame_connection(self, e: np.ndarray, gam: np.ndarray) -> np.ndarray:
         out = gam * (e[None, :, None] * e[None, None, :] / e[:, None, None])
         # e_c's length varies along e_b: + delta^a_c e_b d_b log|e_c|.
         diag = np.arange(len(e))
         out[diag, :, diag] += self.rates * e[None, :]
         return out
-
-    def frame_curvature(self, x, riem: np.ndarray) -> np.ndarray:
-        """Frame components of a curvature tensor given in chart coordinates."""
-        e = self.lengths(x)
-        return riem * (e[None, :, None, None] * e[None, None, :, None]
-                       * e[None, None, None, :] / e[:, None, None, None])
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,11 @@ def test_chart_frame_forms_match_finite_differences(name, data):
     chart = model_from_family(family(name)).chart
     x = chart.to_chart(draw_point(data, model_from_family(family(name))))
     cm = chart.model
-    np.testing.assert_allclose(
-        chart.frame_connection(x, christoffel(cm, x, use_closed_form=False)),
-        christoffel(cm, x), atol=5e-7)
-    np.testing.assert_allclose(
-        chart.frame_curvature(x, riemann(cm, x, use_closed_form=False)),
-        riemann(cm, x), atol=1e-5)
+    omega, curv = chart.frame_tensors(
+        x, christoffel(cm, x, use_closed_form=False),
+        riemann(cm, x, use_closed_form=False))
+    np.testing.assert_allclose(omega, christoffel(cm, x), atol=5e-7)
+    np.testing.assert_allclose(curv, riemann(cm, x), atol=1e-5)
 
 
 @pytest.mark.parametrize("name", NAMES)

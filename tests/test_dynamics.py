@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from igac import (InsufficientDataError, ShapeError, SingularityError,
                   gaussian_model, integrable_model, integrate_geodesic,
                   integrate_jacobi, model, reverse_initial_conditions)
 from igac.dynamics import _integrate_on_grid
+from igac.manifold import Chart, ManifoldModel
 
 SQRT2 = math.sqrt(2.0)
 
@@ -249,3 +251,44 @@ def test_lambda_j_window_validation():
         estimate_lambda_j(traj, (29.0, 30.0))  # fewer than 10 samples
     with pytest.raises(InsufficientDataError):
         estimate_lambda_j(base, (10.0, 30.0))  # no deviation field
+
+
+def walled_chart(wall):
+    """A flat 2-d chart, x = theta, whose metric turns singular or non-finite
+    past x0 = 1, or whose domain ends there (no wall for "none"); its closed
+    forms are those of the flat side."""
+    bad = {"singular": 0.0, "inf": math.inf, "nan": math.nan}.get(wall)
+
+    def metric(x):
+        g = np.zeros(np.shape(x)[:-1] + (2, 2)) + np.eye(2)
+        if bad is not None:
+            g[np.asarray(x)[..., 0] > 1.0] = bad
+        return g
+
+    flat = ManifoldModel(
+        name="walled", dim=2, coord_names=("x0", "x1"),
+        domain=((-math.inf, 1.0 if wall == "domain" else math.inf),
+                (-math.inf, math.inf)),
+        metric_fn=metric, sqrt_g_factors=(),
+        christoffel_fn=lambda x: np.zeros((2, 2, 2)),
+        riemann_fn=lambda x: np.zeros((2, 2, 2, 2)))
+    return replace(flat, chart=Chart(flat, np.zeros(2, dtype=bool),
+                                     np.zeros((2, 2)), np.ones(2)))
+
+
+@pytest.mark.parametrize("wall", ["singular", "inf", "nan", "domain"])
+def test_finite_differences_reject_steps_into_a_bad_stencil(wall):
+    # x0 = tau reaches the wall at tau = 1: every stage whose stencil
+    # crosses it is rejected, and the run ends in SingularityError before
+    # it, on the geodesic and on the deviation right-hand side alike.
+    mdl = walled_chart(wall)
+    base = integrate_geodesic(walled_chart("none"), (0.0, 0.0), (1.0, 0.0),
+                              3.0, samples=16)
+    with pytest.raises(SingularityError) as err:
+        integrate_geodesic(mdl, (0.0, 0.0), (1.0, 0.0), 3.0, samples=16,
+                           use_closed_form=False)
+    assert err.value.last_state[0] <= 1.0
+    with pytest.raises(SingularityError) as err:
+        integrate_jacobi(mdl, base, (0.0, 0.0), (0.0, 1.0),
+                         use_closed_form=False)
+    assert err.value.last_state[0] <= 1.0

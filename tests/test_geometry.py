@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igac import (chaotic_model, christoffel, curvature, euclidean_model,
-                  gaussian_model, integrable_model, riemann,
-                  scalar_sign_classification)
+                  family, gaussian_model, integrable_model, model,
+                  model_from_family, riemann, scalar_sign_classification)
+from igac.dynamics import _frame_tensors
 from igac.errors import DomainError
+from igac.geometry import (DEFAULT_FD_STEP, _steps, curvature_stencil,
+                           riemann_from_stencil)
 
 
 def test_christoffel_integrable_analytic():
@@ -141,3 +146,87 @@ def test_fd_step_boundary_guard():
     with pytest.raises(DomainError):
         christoffel(integrable_model(), (1e-6, 1.0), fd_step=1e-2,
                     use_closed_form=False)
+
+
+# Every model in theta coordinates, and the prebuilt models whose log-scale
+# charts the geodesics are integrated in.
+THETA_MODELS = ("integrable", "chaotic", "gaussian", "euclidean",
+                "exponential", "wigner_dyson")
+CHART_MODELS = ("integrable", "chaotic", "gaussian")
+
+
+def theta_model(name):
+    return (model_from_family(family(name))
+            if name in ("exponential", "wigner_dyson") else model(name))
+
+
+def separate_passes(mdl, th, fd_step):
+    """Finite-difference Gamma and R from separate single-point passes:
+    Gamma at theta, Gamma at each theta +/- h_r e_r, and the einsum formula
+    for R^m_nrs = d_r G^m_sn - d_s G^m_rn + G^m_rl G^l_sn - G^m_sl G^l_rn."""
+    def gamma(p):
+        return christoffel(mdl, p, fd_step, use_closed_form=False)
+
+    h = _steps(th, fd_step)
+    gam = gamma(th)
+    plus = np.array([gamma(p) for p in th + np.diag(h)])
+    minus = np.array([gamma(p) for p in th - np.diag(h)])
+    dG = (plus - minus) / (2.0 * h)[:, None, None, None]
+    riem = ((np.einsum("rmsn->mnrs", dG) - np.einsum("smrn->mnrs", dG))
+            + (np.einsum("mrl,lsn->mnrs", gam, gam)
+               - np.einsum("msl,lrn->mnrs", gam, gam)))
+    return gam, riem
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", THETA_MODELS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_stacked_pass_is_bitwise_the_separate_passes(name, data):
+    mdl = theta_model(name)
+    th = np.array(data.draw(st.tuples(
+        *(st.floats(lo, hi) for lo, hi in mdl.sample_box))))
+    gam, riem = separate_passes(mdl, th, DEFAULT_FD_STEP)
+    assert bitwise_equal(riemann(mdl, th, use_closed_form=False), riem)
+    points, h = curvature_stencil(mdl, th)
+    gams = christoffel(mdl, points, use_closed_form=False)
+    assert bitwise_equal(gams[0], gam)
+    assert bitwise_equal(riemann_from_stencil(gams, h), riem)
+    # The report's tensors come from the halved step, in one pass.
+    rep = curvature(mdl, th, use_closed_form=False)
+    gam_half, riem_half = separate_passes(mdl, th, DEFAULT_FD_STEP / 2.0)
+    assert bitwise_equal(rep.christoffel, gam_half)
+    assert bitwise_equal(rep.riemann, riem_half)
+
+
+@pytest.mark.parametrize("name", CHART_MODELS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_stacked_chart_pass_is_bitwise_the_separate_passes(name, data):
+    # What the finite-difference Jacobi right-hand side sees, at chart
+    # depths down to u = -300.
+    mdl = model(name)
+    chart = mdl.chart
+    x = np.array([data.draw(st.floats(-300.0, 5.0)) if log
+                  else data.draw(st.floats(lo, hi))
+                  for log, (lo, hi) in zip(chart.log_scale, mdl.sample_box)])
+    gam, riem = separate_passes(chart.model, x, DEFAULT_FD_STEP)
+    omega, curv = _frame_tensors(chart, use_closed_form=False)(x)
+    assert bitwise_equal(omega, chart.frame_connection(x, gam))
+    assert bitwise_equal(curv, chart.frame_tensors(x, gam, riem)[1])
+
+
+def test_christoffel_on_a_stack_of_points():
+    mdl = chaotic_model()
+    points = mdl.random_points(4, seed=41)
+    for closed in (True, False):
+        stacked = christoffel(mdl, points, use_closed_form=closed)
+        assert stacked.shape == (4, 3, 3, 3)
+        for p, gam in zip(points, stacked):
+            assert bitwise_equal(gam, christoffel(mdl, p, use_closed_form=closed))
+    points[2, 2] = -1.0  # sigma_B below zero
+    with pytest.raises(DomainError, match="sigma_B"):
+        christoffel(mdl, points, use_closed_form=False)
