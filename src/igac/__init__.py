@@ -22,7 +22,7 @@ from .manifold import (ManifoldModel, QuadratureMetric, QuadratureSettings,
                        model_from_family)
 from .geometry import (CurvatureReport, SignReport, christoffel, curvature,
                        riemann, scalar_sign_classification)
-from .dynamics import (GeodesicTrajectory, LambdaEstimate,
+from .dynamics import (GeodesicTrajectory, LambdaEstimate, SolverStats,
                        estimate_lambda_j, integrate_geodesic, integrate_jacobi,
                        reverse_initial_conditions)
 from .ige import (FitReport, GrowthFit, IGESeries, RateComparison,

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,7 @@ def cmd_geodesic(cfg: dict) -> int:
         "kind": "geodesic", "manifold": mdl.name,
         "final_coords": [float(v) for v in traj.coords[-1]],
         "speed_drift": float(np.max(np.abs(traj.speed - traj.speed[0]))),
+        "diagnostics": {"solver": asdict(traj.solver)},
         "boundary_event": None})
     if cfg["plot"]:
         series = [(traj.tau_grid, traj.coords[:, i], mdl.coord_names[i], None)
@@ -409,6 +411,7 @@ def cmd_jacobi(cfg: dict) -> int:
         "kind": "jacobi_fit", "manifold": mdl.name,
         "lambda_j": est.lambda_j, "fit_r2": est.fit_r2,
         "window": list(est.window), "n_samples": est.n_samples,
+        "diagnostics": {"solver": asdict(traj.solver)},
         "boundary_event": None})
     if cfg["plot"]:
         mask = traj.jacobi_norm > 0

@@ -30,6 +30,7 @@ growth and constant negative curvature gives sinh growth.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,19 @@ class LambdaEstimate:
     n_samples: int
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """Work of one Dormand-Prince walk: right-hand-side evaluations
+    (1 + 6 per attempted step), accepted and rejected steps, and the
+    smallest accepted step (None when no step was taken).  The last step
+    is cut to end on the grid, so it can be the smallest."""
+
+    rhs_calls: int
+    accepted: int
+    rejected: int
+    min_step: float | None
+
+
 @dataclass
 class GeodesicTrajectory:
     """A geodesic sampled on a tau grid, optionally with a deviation field.
@@ -78,8 +92,9 @@ class GeodesicTrajectory:
     ``speed`` is the g-norm of the velocity (constant along geodesics up
     to integrator tolerance).  When filled, ``jacobi``/``jacobi_rate``
     hold coordinate components of J and of its covariant rate, and
-    ``jacobi_norm`` the pointwise g-norm of J.  ``boundary_event`` is
-    always None: the charts have no boundary, so no geodesic is cut short.
+    ``jacobi_norm`` the pointwise g-norm of J.  ``solver`` holds the
+    integrator's statistics.  ``boundary_event`` is always None: the
+    charts have no boundary, so no geodesic is cut short.
     """
 
     model_name: str
@@ -90,6 +105,7 @@ class GeodesicTrajectory:
     jacobi: np.ndarray | None = None
     jacobi_rate: np.ndarray | None = None
     jacobi_norm: np.ndarray | None = None
+    solver: SolverStats | None = None
     boundary_event: None = None
 
     @property
@@ -110,8 +126,10 @@ def _dense(y0: np.ndarray, y1: np.ndarray, ks: np.ndarray, h: float,
 
 
 def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
-                       min_step: float | None = None) -> np.ndarray:
-    """Adaptive Dormand-Prince walk, returning the state at every grid node.
+                       min_step: float | None = None
+                       ) -> tuple[np.ndarray, SolverStats]:
+    """Adaptive Dormand-Prince walk: the state at every grid node, and the
+    walk's statistics.
 
     Steps follow the error control alone; each accepted step fills the
     grid nodes it spans from the continuous extension.  A NaN or inf
@@ -129,7 +147,7 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
     floor = min_step if min_step is not None else 1e-14 * max(1.0, span)
     ks = np.empty((7, y.size))
     ks[0] = rhs(tau, y)
-    filled = 1
+    filled, accepted, rejected, smallest = 1, 0, 0, math.inf
     while filled < len(grid):
         last = h >= end - tau
         if last:
@@ -142,6 +160,8 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(ys))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         if err <= 1.0:
+            accepted += 1
+            smallest = min(smallest, h)
             stop = (len(grid) if last
                     else int(np.searchsorted(grid, tau + h, side="right")))
             if stop > filled:
@@ -149,6 +169,8 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
                 filled = stop
             tau, y = (end if last else tau + h), ys
             ks[0] = ks[6]  # first same as last, copied out of the stage buffer
+        else:
+            rejected += 1
         if err > 0.0:
             factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:  # a zero error grows the step, a NaN one shrinks it
@@ -158,7 +180,9 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
             raise SingularityError(
                 f"step size underflowed ({h:.3e} < {floor:.3e}) at tau={tau:.6g}",
                 last_state=(tau, y.copy()))
-    return out
+    steps = accepted + rejected
+    return out, SolverStats(1 + 6 * steps, accepted, rejected,
+                            smallest if accepted else None)
 
 
 def _chart_of(model: ManifoldModel) -> Chart:
@@ -220,7 +244,7 @@ def _frame_tensors(chart: Chart, use_closed_form: bool):
 
 
 def _result(model: ManifoldModel, chart: Chart, grid: np.ndarray,
-            states: np.ndarray) -> GeodesicTrajectory:
+            states: np.ndarray, solver: SolverStats) -> GeodesicTrajectory:
     """Trajectory in theta components from chart states (x, w[, J, K]);
     values beyond float64's range come out as 0.0 or inf."""
     dim = model.dim
@@ -231,7 +255,7 @@ def _result(model: ManifoldModel, chart: Chart, grid: np.ndarray,
     norms = chart.norms(frame)
     traj = GeodesicTrajectory(model_name=model.name, tau_grid=grid,
                               coords=coords, velocity=to_theta[:, 0],
-                              speed=norms[:, 0])
+                              speed=norms[:, 0], solver=solver)
     if frame.shape[1] == 3:
         traj.jacobi, traj.jacobi_rate = to_theta[:, 1], to_theta[:, 2]
         traj.jacobi_norm = norms[:, 1]
@@ -275,9 +299,9 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
 
     grid = np.linspace(0.0, float(tau_max), int(samples))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        states = _integrate_on_grid(rhs, _chart_state(chart, th0, v0), grid,
-                                    tol, min_step=min_step)
-        return _result(model, chart, grid, states)
+        states, solver = _integrate_on_grid(rhs, _chart_state(chart, th0, v0),
+                                            grid, tol, min_step=min_step)
+        return _result(model, chart, grid, states, solver)
 
 
 def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
@@ -311,8 +335,8 @@ def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
 
     y0 = _chart_state(chart, traj.coords[0], traj.velocity[0], J0, dJ0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        states = _integrate_on_grid(rhs, y0, traj.tau_grid, tol)
-        return _result(model, chart, traj.tau_grid, states)
+        states, solver = _integrate_on_grid(rhs, y0, traj.tau_grid, tol)
+        return _result(model, chart, traj.tau_grid, states, solver)
 
 
 def estimate_lambda_j(traj: GeodesicTrajectory,

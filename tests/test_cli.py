@@ -117,6 +117,22 @@ def test_jacobi_gaussian_lambda(tmp_path):
     assert rep["window"] == [10.0, 30.0]
 
 
+def test_solver_diagnostics_in_trajectory_json(tmp_path):
+    for cmd, name in (("geodesic", "geodesic.json"), ("jacobi", "jacobi.json")):
+        out = tmp_path / cmd
+        assert main([cmd, "--manifold", "chaotic", "--tau-max", "5",
+                     "--samples", "64", "--out", str(out)]) == 0
+        solver = read_json(out / name)["diagnostics"]["solver"]
+        assert set(solver) == {"rhs_calls", "accepted", "rejected", "min_step"}
+        assert solver["rhs_calls"] == 1 + 6 * (solver["accepted"]
+                                               + solver["rejected"])
+        assert 0.0 < solver["min_step"] <= 5.0
+    out = tmp_path / "ige"
+    assert main(["ige", "--manifold", "chaotic", "--tau-max", "5",
+                 "--samples", "64", "--out", str(out)]) == 0
+    assert "diagnostics" not in read_json(out / "ige.json")
+
+
 def test_ige_integrable_logarithmic(tmp_path):
     out = tmp_path / "i"
     rc = main(["ige", "--manifold", "integrable", "--tau-max", "60",

@@ -104,7 +104,7 @@ def test_first_same_as_last_stage_survives_a_rejected_step():
         return np.array([1.0 / (1.0 + 400.0 * (t - 5.0) ** 2)])
 
     grid = np.linspace(0.0, 10.0, 11)
-    out = _integrate_on_grid(rhs, np.zeros(1), grid, tol=1e-10)
+    out, _ = _integrate_on_grid(rhs, np.zeros(1), grid, tol=1e-10)
     exact = (np.arctan(20.0 * (grid - 5.0)) + np.arctan(100.0)) / 20.0
     np.testing.assert_allclose(out[:, 0], exact, rtol=0.0, atol=1e-8)
 
@@ -251,6 +251,35 @@ def test_lambda_j_window_validation():
         estimate_lambda_j(traj, (29.0, 30.0))  # fewer than 10 samples
     with pytest.raises(InsufficientDataError):
         estimate_lambda_j(base, (10.0, 30.0))  # no deviation field
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("name", ["chaotic", "gaussian"])
+def test_solver_statistics_count_every_right_hand_side(monkeypatch, name, closed):
+    # Each right-hand-side evaluation makes exactly one call through the
+    # christoffel name bound in igac.dynamics, on both paths.
+    import igac.dynamics as dyn
+    calls = [0]
+    original = dyn.christoffel
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "christoffel", counted)
+    mdl = model(name)
+    theta0 = mdl.random_points(1, seed=43)[0]
+    v0 = np.linspace(0.3, -0.4, mdl.dim)
+    base = integrate_geodesic(mdl, theta0, v0, 5.0, samples=64,
+                              use_closed_form=closed)
+    geo_calls = calls[0]
+    traj = integrate_jacobi(mdl, base, np.zeros(mdl.dim), np.ones(mdl.dim),
+                            use_closed_form=closed)
+    for stats, counted_calls in ((base.solver, geo_calls),
+                                 (traj.solver, calls[0] - geo_calls)):
+        assert stats.rhs_calls == counted_calls
+        assert stats.rhs_calls == 1 + 6 * (stats.accepted + stats.rejected)
+        assert stats.accepted >= 1 and 0.0 < stats.min_step <= 5.0
 
 
 def walled_chart(wall):
