@@ -20,8 +20,15 @@ from .manifold import ManifoldModel
 DEFAULT_FD_STEP = 1e-4
 
 
-def _steps(theta: np.ndarray, fd_step: float) -> np.ndarray:
-    return fd_step * np.maximum(1.0, np.abs(theta))
+def _steps(model: ManifoldModel, theta: np.ndarray, fd_step: float) -> np.ndarray:
+    """Central-difference steps at a point or each row of a stack:
+    fd_step * max(1, |theta|), but plain fd_step on a chart coordinate that
+    is a logarithm, along which the metric varies by the same relative
+    amount per unit at every depth."""
+    h = fd_step * np.maximum(1.0, np.abs(theta))
+    if model._log_coords:
+        h[..., np.array(model._log_coords)] = fd_step
+    return h
 
 
 def _stencil_metric(model: ManifoldModel, points: np.ndarray,
@@ -41,14 +48,14 @@ def _metric_partials(model: ManifoldModel, theta: np.ndarray,
                      fd_step: float) -> np.ndarray:
     """dg[l, m, n] = d g_mn / d theta_l by central differences."""
     th = np.asarray(theta, dtype=float)[None, :]
-    return _stencil_metric(model, th, _steps(th, fd_step))[1][0]
+    return _stencil_metric(model, th, _steps(model, th, fd_step))[1][0]
 
 
 def _fd_christoffel(model: ManifoldModel, points: np.ndarray,
                     fd_step: float) -> np.ndarray:
     """Gamma[k, a, b, c] at each row k of ``points`` by central differences."""
     k, dim = points.shape
-    h = _steps(points, fd_step)
+    h = _steps(model, points, fd_step)
     if not model.contains(points, margin=float(np.max(h))):
         raise DomainError(
             f"point {points[0].tolist()} is closer than the differencing step "
@@ -73,7 +80,7 @@ def curvature_stencil(model: ManifoldModel, theta: np.ndarray,
     give the connection at theta (row 0) and, through
     ``riemann_from_stencil``, the curvature there."""
     th = np.asarray(theta, dtype=float)
-    h = _steps(th, fd_step)
+    h = _steps(model, th, fd_step)
     return np.concatenate([th[None, :], th + np.diag(h), th - np.diag(h)]), h
 
 

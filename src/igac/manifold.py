@@ -60,6 +60,9 @@ class ManifoldModel:
     riemann_fn: Callable[[np.ndarray], np.ndarray] | None = None
     sample_box: tuple[tuple[float, float], ...] = field(default=())
     chart: "Chart | None" = None
+    # Which coordinates are logarithms (set by the log-scale chart): finite
+    # differences step them by an absolute amount, not a relative one.
+    _log_coords: tuple[bool, ...] = field(default=(), repr=False)
 
     @cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -354,6 +357,7 @@ def _log_chart(layout, name: str, coord_names: tuple[str, ...],
             _constant, _closed_form(layout, "frame_christoffel", 3)(None)),
         riemann_fn=partial(
             _constant, _closed_form(layout, "frame_riemann", 4)(None)),
+        _log_coords=tuple(bool(ls) for ls in log_scale),
     )
     return Chart(chart_model, log_scale, rates, frame_metric)
 

@@ -167,7 +167,7 @@ def separate_passes(mdl, th, fd_step):
     def gamma(p):
         return christoffel(mdl, p, fd_step, use_closed_form=False)
 
-    h = _steps(th, fd_step)
+    h = _steps(mdl, th, fd_step)
     gam = gamma(th)
     plus = np.array([gamma(p) for p in th + np.diag(h)])
     minus = np.array([gamma(p) for p in th - np.diag(h)])
@@ -230,3 +230,19 @@ def test_christoffel_on_a_stack_of_points():
     points[2, 2] = -1.0  # sigma_B below zero
     with pytest.raises(DomainError, match="sigma_B"):
         christoffel(mdl, points, use_closed_form=False)
+
+
+@pytest.mark.parametrize("depth", [-30.0, -300.0])
+@pytest.mark.parametrize("name", ["gaussian", "chaotic"])
+def test_fd_chart_tensors_keep_their_accuracy_at_depth(name, depth):
+    # The chart metric varies by the same relative amount per unit of
+    # u = log(sigma) at every depth, so an absolute step in u keeps the
+    # finite differences as accurate as at u = 0.
+    chart = model(name).chart
+    cm = chart.model
+    x = np.where(chart.log_scale, depth, 0.7)
+    omega, curv = chart.frame_tensors(
+        x, christoffel(cm, x, use_closed_form=False),
+        riemann(cm, x, use_closed_form=False))
+    np.testing.assert_allclose(omega, christoffel(cm, x), rtol=0.0, atol=1e-7)
+    np.testing.assert_allclose(curv, riemann(cm, x), rtol=0.0, atol=1e-5)
