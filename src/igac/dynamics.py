@@ -26,7 +26,11 @@ first-order covariant form,
     dJ/dtau = K - omega(v, J),      dK/dtau = -omega(v, K) - R(J, v)v,
 
 with K the covariant rate of J, so flat manifolds give exactly affine
-growth and constant negative curvature gives sinh growth.
+growth and constant negative curvature gives sinh growth.  On the
+finite-difference path each right-hand side makes one stacked pass over
+the curvature stencil of x (one ``christoffel`` call on a stack of
+points), which yields omega and R together.  Each trajectory carries the
+walk's statistics (``SolverStats``).
 """
 from __future__ import annotations
 

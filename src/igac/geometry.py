@@ -6,6 +6,14 @@ as fast paths and as oracles for the finite-difference pipeline.  The
 curvature convention is (R(e_r, e_s) e_n)^m = R^m_{nrs}, under which
 the geodesic-deviation term reads R^m_{nrs} v^n J^r v^s and negative
 sectional curvature means exponential spreading of nearby geodesics.
+
+Each finite-difference evaluation is one stacked pass: the points and
+every point's own stencil go to the metric in one call, followed by one
+batched inverse.  The curvature stencil of a point (the point and its
+2*dim shifts) gives the connection there (row 0) and the curvature from
+all rows, so connection and curvature together cost one pass.  Steps
+are fd_step * max(1, |theta|), and plain fd_step on log-scale chart
+coordinates.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InversionError
+from .errors import DomainError, InversionError, ShapeError
 from .manifold import ManifoldModel
 
 DEFAULT_FD_STEP = 1e-4
@@ -25,10 +33,7 @@ def _steps(model: ManifoldModel, theta: np.ndarray, fd_step: float) -> np.ndarra
     fd_step * max(1, |theta|), but plain fd_step on a chart coordinate that
     is a logarithm, along which the metric varies by the same relative
     amount per unit at every depth."""
-    h = fd_step * np.maximum(1.0, np.abs(theta))
-    if model._log_coords:
-        h[..., np.array(model._log_coords)] = fd_step
-    return h
+    return fd_step * np.maximum(1.0, np.abs(theta) * model._step_scale)
 
 
 def _stencil_metric(model: ManifoldModel, points: np.ndarray,
@@ -57,6 +62,8 @@ def _fd_christoffel(model: ManifoldModel, points: np.ndarray,
     k, dim = points.shape
     h = _steps(model, points, fd_step)
     if not model.contains(points, margin=float(np.max(h))):
+        for p in points:  # names a coordinate outside the domain, if any
+            model.check_point(p)
         raise DomainError(
             f"point {points[0].tolist()} is closer than the differencing step "
             f"to the boundary of model {model.name!r}")
@@ -131,12 +138,14 @@ def christoffel(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
         if closed:
             return np.asarray(model.christoffel_fn(th), dtype=float)
         return _fd_christoffel(model, th[None, :], fd_step)[0]
-    if not model.contains(arr):
-        for p in arr:  # names the offending coordinate
-            model.check_point(p)
-    if closed:
-        return np.array([model.christoffel_fn(p) for p in arr], dtype=float)
-    return _fd_christoffel(model, arr, fd_step)
+    if arr.shape[1] != model.dim:
+        raise ShapeError(
+            f"model {model.name!r} has dim {model.dim}, got points of size "
+            f"{arr.shape[1]}")
+    if not closed:
+        return _fd_christoffel(model, arr, fd_step)
+    return np.array([model.christoffel_fn(model.check_point(p)) for p in arr],
+                    dtype=float)
 
 
 def riemann(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,

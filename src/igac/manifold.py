@@ -69,6 +69,12 @@ class ManifoldModel:
         box = np.asarray(self.domain, dtype=float).reshape(self.dim, 2)
         return box[:, 0], box[:, 1]
 
+    @cached_property
+    def _step_scale(self) -> np.ndarray:
+        """Per coordinate, 1.0 where finite differences step by
+        fd_step * max(1, |theta|) and 0.0 on logarithms (plain fd_step)."""
+        return np.where(self._log_coords or (False,) * self.dim, 0.0, 1.0)
+
     def _inside(self, arr: np.ndarray, margin: float) -> np.ndarray:
         # Open intervals with infinite ends also reject inf and NaN.
         lo, hi = self._bounds

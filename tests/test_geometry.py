@@ -7,7 +7,7 @@ from igac import (chaotic_model, christoffel, curvature, euclidean_model,
                   family, gaussian_model, integrable_model, model,
                   model_from_family, riemann, scalar_sign_classification)
 from igac.dynamics import _frame_tensors
-from igac.errors import DomainError
+from igac.errors import DomainError, ShapeError
 from igac.geometry import (DEFAULT_FD_STEP, _steps, curvature_stencil,
                            riemann_from_stencil)
 
@@ -228,8 +228,11 @@ def test_christoffel_on_a_stack_of_points():
         for p, gam in zip(points, stacked):
             assert bitwise_equal(gam, christoffel(mdl, p, use_closed_form=closed))
     points[2, 2] = -1.0  # sigma_B below zero
-    with pytest.raises(DomainError, match="sigma_B"):
-        christoffel(mdl, points, use_closed_form=False)
+    for closed in (True, False):
+        with pytest.raises(DomainError, match="sigma_B"):
+            christoffel(mdl, points, use_closed_form=closed)
+        with pytest.raises(ShapeError):
+            christoffel(mdl.chart.model, points[:, :2], use_closed_form=closed)
 
 
 @pytest.mark.parametrize("depth", [-30.0, -300.0])
