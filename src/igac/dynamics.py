@@ -151,7 +151,7 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
     floor = min_step if min_step is not None else 1e-14 * max(1.0, span)
     ks = np.empty((7, y.size))
     ks[0] = rhs(tau, y)
-    filled, accepted, rejected, smallest = 1, 0, 0, math.inf
+    filled, calls, accepted, rejected, smallest = 1, 1, 0, 0, math.inf
     while filled < len(grid):
         last = h >= end - tau
         if last:
@@ -159,6 +159,7 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
         for s in range(1, 7):
             ys = y + h * (_A[s] @ ks[:s])
             ks[s] = rhs(tau + _C[s] * h, ys)
+        calls += 6
         # The last stage's state is the fifth-order solution.
         err_vec = h * (_ERR @ ks)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(ys))
@@ -184,8 +185,7 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
             raise SingularityError(
                 f"step size underflowed ({h:.3e} < {floor:.3e}) at tau={tau:.6g}",
                 last_state=(tau, y.copy()))
-    steps = accepted + rejected
-    return out, SolverStats(1 + 6 * steps, accepted, rejected,
+    return out, SolverStats(calls, accepted, rejected,
                             smallest if accepted else None)
 
 

@@ -282,6 +282,21 @@ def test_solver_statistics_count_every_right_hand_side(monkeypatch, name, closed
         assert stats.accepted >= 1 and 0.0 < stats.min_step <= 5.0
 
 
+def test_solver_statistics_count_rejected_steps():
+    # A narrow bump in y' = g(t) makes the walk reject steps.
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return np.array([1.0 / (1.0 + 400.0 * (t - 5.0) ** 2)])
+
+    _, stats = _integrate_on_grid(rhs, np.zeros(1), np.linspace(0.0, 10.0, 11),
+                                  tol=1e-10)
+    assert stats.rejected > 0
+    assert stats.rhs_calls == len(calls) == 1 + 6 * (stats.accepted
+                                                     + stats.rejected)
+
+
 def walled_chart(wall):
     """A flat 2-d chart, x = theta, whose metric turns singular or non-finite
     past x0 = 1, or whose domain ends there (no wall for "none"); its closed
