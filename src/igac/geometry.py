@@ -138,10 +138,10 @@ def christoffel(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
         if closed:
             return np.asarray(model.christoffel_fn(th), dtype=float)
         return _fd_christoffel(model, th[None, :], fd_step)[0]
-    if arr.shape[1] != model.dim:
+    if arr.shape[1] != model.dim or not len(arr):
         raise ShapeError(
-            f"model {model.name!r} has dim {model.dim}, got points of size "
-            f"{arr.shape[1]}")
+            f"model {model.name!r} takes a (k, {model.dim}) stack of points "
+            f"with k >= 1, got shape {arr.shape}")
     if not closed:
         return _fd_christoffel(model, arr, fd_step)
     return np.array([model.christoffel_fn(model.check_point(p)) for p in arr],

@@ -231,8 +231,9 @@ def test_christoffel_on_a_stack_of_points():
     for closed in (True, False):
         with pytest.raises(DomainError, match="sigma_B"):
             christoffel(mdl, points, use_closed_form=closed)
-        with pytest.raises(ShapeError):
-            christoffel(mdl.chart.model, points[:, :2], use_closed_form=closed)
+        for bad in (points[:, :2], points[:0]):
+            with pytest.raises(ShapeError):
+                christoffel(mdl, bad, use_closed_form=closed)
 
 
 @pytest.mark.parametrize("depth", [-30.0, -300.0])
