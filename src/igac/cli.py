@@ -184,7 +184,7 @@ COMMAND_DEFAULTS = {
                "dj0": None, "tau_max": 30.0, "tol": 1e-8, "samples": 512,
                "window": None},
     "ige": {"manifold": None, "theta0": None, "v0": None, "tau_max": 100.0,
-            "tol": 1e-8, "samples": 1024, "quad_nodes": 64, "window": None},
+            "tol": 1e-8, "samples": 1024, "window": None},
     "chain": {"n": 11, "hx": 1.0, "hy": 1.0, "sector": "reflection_even",
               "poly_degree": 7, "trim": 0.1, "margin": 0.01, "bins": 40},
     "report": {"inputs": []},
@@ -424,7 +424,7 @@ def cmd_jacobi(cfg: dict) -> int:
 
 def cmd_ige(cfg: dict) -> int:
     mdl, traj = _run_geodesic(cfg)
-    series = ige.volume_series(mdl, traj, quad_nodes=int(cfg["quad_nodes"]))
+    series = ige.volume_series(mdl, traj)
     tau_max = float(cfg["tau_max"])
     window = (_parse_window(cfg["window"], "window")
               if cfg["window"] is not None else (tau_max / 10.0, tau_max))
@@ -590,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dj0", help="initial covariant deviation rate")
             p.add_argument("--window", help="lo:hi fit window for lambda_J")
         if extra is None:
-            p.add_argument("--quad-nodes", dest="quad_nodes", type=int)
             p.add_argument("--window", help="lo:hi fit window")
 
     p = sub.add_parser("chain", parents=[common],

@@ -98,12 +98,15 @@ class GeodesicTrajectory:
     hold coordinate components of J and of its covariant rate, and
     ``jacobi_norm`` the pointwise g-norm of J.  ``solver`` holds the
     integrator's statistics.  ``boundary_event`` is always None: the
-    charts have no boundary, so no geodesic is cut short.
+    charts have no boundary, so no geodesic is cut short.  ``chart_coords``
+    are the ``Chart`` coordinates volumes are measured from: they stay
+    finite where ``coords`` leave float64's range.
     """
 
     model_name: str
     tau_grid: np.ndarray
     coords: np.ndarray
+    chart_coords: np.ndarray
     velocity: np.ndarray
     speed: np.ndarray
     jacobi: np.ndarray | None = None
@@ -197,7 +200,7 @@ def _chart_of(model: ManifoldModel) -> Chart:
 
 
 def _frame_connection(chart: Chart, use_closed_form: bool):
-    """Callable x -> frame components of the connection.
+    """Callable (x, lengths=None) -> frame components of the connection.
 
     The chart model's closed forms are frame components already; its
     finite-difference connection is in chart components and is converted.
@@ -208,19 +211,19 @@ def _frame_connection(chart: Chart, use_closed_form: bool):
     closed = use_closed_form and cm.christoffel_fn is not None
     undefined = np.full((cm.dim,) * 3, np.nan)
 
-    def connection(x):
+    def connection(x, lengths=None):
         try:
             gam = christoffel(cm, x, use_closed_form=closed)
         except (DomainError, InversionError):
             return undefined
-        return gam if closed else chart.frame_connection(x, gam)
+        return gam if closed else chart.frame_connection(x, gam, lengths)
 
     return connection
 
 
 def _frame_tensors(chart: Chart, use_closed_form: bool):
-    """Callable x -> frame components of the connection and the curvature,
-    NaN where they are undefined (as in ``_frame_connection``).
+    """Callable (x, lengths=None) -> frame components of the connection and
+    the curvature, NaN where they are undefined (as in ``_frame_connection``).
 
     Finite differences make one ``christoffel`` call on the curvature
     stencil of x: one metric call and one batched inverse give the
@@ -230,19 +233,20 @@ def _frame_tensors(chart: Chart, use_closed_form: bool):
     undefined = (np.full((cm.dim,) * 3, np.nan), np.full((cm.dim,) * 4, np.nan))
     if (use_closed_form and cm.christoffel_fn is not None
             and cm.riemann_fn is not None):
-        def tensors(x):
+        def tensors(x, lengths=None):
             try:
                 return christoffel(cm, x), riemann(cm, x)
             except (DomainError, InversionError):
                 return undefined
     else:
-        def tensors(x):
+        def tensors(x, lengths=None):
             points, h = curvature_stencil(cm, x)
             try:
                 gams = christoffel(cm, points, use_closed_form=False)
             except (DomainError, InversionError):
                 return undefined
-            return chart.frame_tensors(x, gams[0], riemann_from_stencil(gams, h))
+            return chart.frame_tensors(x, gams[0], riemann_from_stencil(gams, h),
+                                       lengths)
 
     return tensors
 
@@ -255,11 +259,11 @@ def _result(model: ManifoldModel, chart: Chart, grid: np.ndarray,
     x = states[:, :dim]
     frame = states[:, dim:].reshape(len(states), -1, dim)
     to_theta = chart.theta_lengths(x)[:, None, :] * frame
-    coords = chart.from_chart(x)
     norms = chart.norms(frame)
     traj = GeodesicTrajectory(model_name=model.name, tau_grid=grid,
-                              coords=coords, velocity=to_theta[:, 0],
-                              speed=norms[:, 0], solver=solver)
+                              coords=chart.from_chart(x), chart_coords=x,
+                              velocity=to_theta[:, 0], speed=norms[:, 0],
+                              solver=solver)
     if frame.shape[1] == 3:
         traj.jacobi, traj.jacobi_rate = to_theta[:, 1], to_theta[:, 2]
         traj.jacobi_norm = norms[:, 1]
@@ -299,7 +303,8 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
 
     def rhs(tau, y):
         x, w = y[:dim], y[dim:]
-        return np.concatenate([chart.lengths(x) * w, -(w @ connection(x)) @ w])
+        e = chart.lengths(x)
+        return np.concatenate([e * w, -(w @ connection(x, e)) @ w])
 
     grid = np.linspace(0.0, float(tau_max), int(samples))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -331,10 +336,11 @@ def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
 
     def rhs(tau, y):
         x, w, jac, rate = y[:dim], y[dim:2 * dim], y[2 * dim:3 * dim], y[3 * dim:]
-        gam, riem = tensors(x)
+        e = chart.lengths(x)
+        gam, riem = tensors(x, e)
         along = w @ gam  # omega^a_bc w^b as the matrix [a, c]
         curv = ((riem @ w) @ jac) @ w
-        return np.concatenate([chart.lengths(x) * w, -along @ w,
+        return np.concatenate([e * w, -along @ w,
                                rate - along @ jac, -along @ rate - curv])
 
     y0 = _chart_state(chart, traj.coords[0], traj.velocity[0], J0, dJ0)

@@ -5,8 +5,8 @@ the spacing law of uncorrelated levels), the Wigner-Dyson surmise
 (mean-parametrized, the level-repulsion law), and the one-dimensional
 Gaussian.  Each atomic kind has one ``AtomicKind`` record in ``KINDS``
 holding all its closed forms: density, moments, sampler and CDF, its
-Fisher-Rao metric, connection, curvature and sqrt(det g) factors, and
-the same geometry in the log-scale chart that geodesics are integrated in.
+Fisher-Rao metric, connection and curvature, and the same geometry in
+the log-scale chart that geodesics are integrated in.
 Composites are independent products of atomic factors, assembled from
 the records with no per-kind code; the two named ones pair a spacing law
 with a field-energy "bath" factor:
@@ -49,9 +49,8 @@ class AtomicKind:
     ``christoffel`` and ``riemann`` write the factor's block into a
     preallocated zero tensor in place: they run on every geodesic
     right-hand side, where allocating a block per factor would cost
-    more than the arithmetic.  ``sqrt_g`` holds one function of a single
-    coordinate per parameter, whose product is the block's sqrt(det g);
-    ``sample_box`` is a finite per-parameter box for drawing test points.
+    more than the arithmetic.  ``sample_box`` is a finite per-parameter
+    box for drawing test points.
 
     The chart forms describe the block in chart coordinates x, with
     x = log(theta) on scale parameters (``log_scale``), and in the frame
@@ -59,7 +58,9 @@ class AtomicKind:
     block has the constant diagonal metric ``frame_metric`` and a
     constant connection and curvature, written by ``frame_christoffel``
     and ``frame_riemann`` (their ``theta`` argument is unused); the chart
-    metric itself is frame_metric[a] * exp(-2 frame_rates[a] . x).
+    metric itself is frame_metric[a] * exp(-2 frame_rates[a] . x), so
+    the block's sqrt(det g), and the volumes of ``igac.ige``, follow from
+    these two fields with no form of their own.
     """
 
     kind: str
@@ -73,7 +74,6 @@ class AtomicKind:
     metric: Callable       # (theta, o, g) writes g[..., o:o+k, o:o+k]
     christoffel: Callable  # (theta, o, gamma) writes the block of Gamma^a_bc
     riemann: Callable      # (theta, o, riem) writes the block of R^m_nrs
-    sqrt_g: tuple[Callable, ...]
     frame_metric: tuple[float, ...]
     frame_rates: tuple[tuple[float, ...], ...]
     frame_christoffel: Callable  # (theta, o, gamma): the block in the frame
@@ -197,7 +197,6 @@ KINDS = {rec.kind: rec for rec in (
         metric=_scale_metric(1.0),
         christoffel=_scale_christoffel,
         riemann=_flat,
-        sqrt_g=(lambda v: 1.0 / v,),
         frame_metric=(1.0,),
         frame_rates=((0.0,),),
         frame_christoffel=_flat,
@@ -214,7 +213,6 @@ KINDS = {rec.kind: rec for rec in (
         metric=_scale_metric(4.0),
         christoffel=_scale_christoffel,
         riemann=_flat,
-        sqrt_g=(lambda v: 2.0 / v,),
         frame_metric=(4.0,),
         frame_rates=((0.0,),),
         frame_christoffel=_flat,
@@ -228,8 +226,6 @@ KINDS = {rec.kind: rec for rec in (
         metric=_gaussian_metric,
         christoffel=_gaussian_christoffel,
         riemann=_gaussian_riemann,
-        sqrt_g=(lambda v: np.ones_like(np.asarray(v, dtype=float)),
-                lambda v: math.sqrt(2.0) / v ** 2),
         frame_metric=(1.0, 2.0),
         frame_rates=((0.0, 1.0), (0.0, 0.0)),
         frame_christoffel=_gaussian_frame_christoffel,

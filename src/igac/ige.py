@@ -8,6 +8,10 @@ The running volume V(tau) is the tau-average of the instantaneous
 volume, and the entropy is S = log V.  Regular flows give S ~ c log tau
 with c counting the expanding scale factors; unstable flows on the
 negatively curved manifold give S ~ K tau.
+
+Volumes are taken in the trajectory's chart coordinates, where each
+box integral has a closed form, and summed as logarithms, so the
+entropy stays finite where a scale parameter leaves float64's range.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InapplicableError, InsufficientDataError
 from .dynamics import GeodesicTrajectory
-from .manifold import ManifoldModel
-from .quadrature import gauss_legendre
+from .manifold import Chart, ManifoldModel
 
 _EXTENT_EPS = 1e-12
 
@@ -72,8 +75,9 @@ class IGESeries:
     """Sampled tau -> (V, S) with the degenerate prefix removed.
 
     ``tau_grid``/``instant_volume`` keep the full trajectory grid; the
-    fitted samples keep only points with strictly positive running
-    volume.  ``fit`` is attached by :func:`fit_growth`.
+    fitted samples keep only points with a positive running volume.
+    Volumes are exp of the logarithms the entropy is taken from, so they
+    can read inf.  ``fit`` is attached by :func:`fit_growth`.
     """
 
     tau_samples: np.ndarray
@@ -85,66 +89,68 @@ class IGESeries:
     fit: FitReport | None = None
 
 
-def _factor_integral(f, lo: float, hi: float, log_scale: bool,
-                     nodes: int) -> float:
-    """Integral of a positive 1-d factor over [lo, hi].
+def _log_volume_element(chart: Chart, x: np.ndarray) -> np.ndarray:
+    """Per coordinate, the log of sqrt(det g)'s factor in theta at chart
+    coordinates x; the sum over the last axis is log sqrt(det g(theta)).
 
-    Scale coordinates integrate in u = log(x): the substitution keeps
-    Gauss-Legendre accurate when the box spans orders of magnitude.
+    The chart metric is diag(m * exp(-2 R . x)), so sqrt(det g) in chart
+    coordinates is the product over b of sqrt(m_b) exp(-s_b x_b) with
+    s = R.sum(axis=0); a log coordinate adds d(x_b)/d(theta_b) = exp(-x_b).
     """
-    if log_scale:
-        u, w = gauss_legendre(nodes, math.log(lo), math.log(hi))
-        x = np.exp(u)
-        return float(np.dot(w, np.asarray(f(x), dtype=float) * x))
-    x, w = gauss_legendre(nodes, lo, hi)
-    return float(np.dot(w, np.asarray(f(x), dtype=float)))
+    return (0.5 * np.log(chart.frame_metric)
+            - (chart.rates.sum(axis=0) + chart.log_scale) * x)
 
 
-def _instant_volume(model: ManifoldModel, start: np.ndarray, cur: np.ndarray,
-                    nodes: int) -> float:
-    lo = np.minimum(start, cur)
-    hi = np.maximum(start, cur)
-    scale = np.maximum(1.0, np.abs(start))
-    active = (hi - lo) > _EXTENT_EPS * scale
-    if not np.any(active):
-        return 0.0
-    log_scale = [d[0] == 0.0 and math.isinf(d[1]) for d in model.domain]
-    total = 1.0
-    for i, f in enumerate(model.sqrt_g_factors):
-        if active[i]:
-            total *= _factor_integral(f, lo[i], hi[i], log_scale[i], nodes)
-        else:
-            total *= float(f(np.asarray(cur[i])))
-    return total
+def _log_instant_volume(chart: Chart, x: np.ndarray) -> np.ndarray:
+    """log of the instantaneous volume at each row of chart coordinates x.
+
+    Each moving coordinate contributes the box integral of its factor
+    sqrt(m_b) exp(-s_b x_b) in closed form; a frozen one its factor in
+    theta at the current point.  Rows where no coordinate has moved
+    give -inf.
+    """
+    start = x[0]
+    lo, hi = np.minimum(start, x), np.maximum(start, x)
+    extent = hi - lo
+    active = extent > _EXTENT_EPS * np.maximum(1.0, np.abs(start))
+    s = chart.rates.sum(axis=0)
+    flat = s == 0.0
+    rate = np.where(flat, 1.0, np.abs(s))
+    with np.errstate(divide="ignore"):
+        box = np.where(flat, np.log(extent),
+                       np.maximum(-s * lo, -s * hi)
+                       + np.log(-np.expm1(-rate * extent)) - np.log(rate))
+    box += 0.5 * np.log(chart.frame_metric)
+    logs = np.where(active, box, _log_volume_element(chart, x)).sum(axis=1)
+    return np.where(active.any(axis=1), logs, -np.inf)
 
 
-def volume_series(model: ManifoldModel, traj: GeodesicTrajectory,
-                  quad_nodes: int = 64) -> IGESeries:
+def volume_series(model: ManifoldModel, traj: GeodesicTrajectory) -> IGESeries:
     """Running statistical-weight volume and entropy along a trajectory."""
     if traj.model_name != model.name:
         raise DomainError(
             f"trajectory belongs to model {traj.model_name!r}, not {model.name!r}")
-    if quad_nodes < 16:
-        raise DomainError(f"quad_nodes must be >= 16, got {quad_nodes}")
+    if model.chart is None:
+        raise InapplicableError(
+            f"model {model.name!r} has no chart to measure volumes in")
     taus = traj.tau_grid
-    start = traj.coords[0]
-    instant = np.array([
-        _instant_volume(model, start, c, quad_nodes) for c in traj.coords])
-    running = np.zeros_like(instant)
-    acc = 0.0
-    for j in range(1, len(taus)):
-        acc += 0.5 * (instant[j] + instant[j - 1]) * (taus[j] - taus[j - 1])
-        running[j] = acc / taus[j]
-    positive = running > 0.0
-    degenerate = not bool(np.any(positive))
-    return IGESeries(
-        tau_samples=taus[positive],
-        volume=running[positive],
-        entropy=np.log(running[positive]) if not degenerate else np.array([]),
-        tau_grid=taus,
-        instant_volume=instant,
-        degenerate=degenerate,
-    )
+    log_instant = _log_instant_volume(model.chart, traj.chart_coords)
+    # Trapezoid rule for the running tau-average, summed in log space.
+    with np.errstate(divide="ignore"):
+        log_steps = (np.log(0.5 * np.diff(taus))
+                     + np.logaddexp(log_instant[1:], log_instant[:-1]))
+        log_running = np.concatenate(
+            [[-np.inf], np.logaddexp.accumulate(log_steps) - np.log(taus[1:])])
+    positive = log_running > -np.inf
+    with np.errstate(over="ignore"):
+        return IGESeries(
+            tau_samples=taus[positive],
+            volume=np.exp(log_running[positive]),
+            entropy=log_running[positive],
+            tau_grid=taus,
+            instant_volume=np.exp(log_instant),
+            degenerate=not bool(np.any(positive)),
+        )
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray, kind: str) -> GrowthFit:

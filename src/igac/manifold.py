@@ -2,10 +2,9 @@
 
 A ``ManifoldModel`` is a coordinate box plus a metric field.  Models
 built from probability families assemble their closed-form metric,
-Christoffel symbols, Riemann tensor and per-coordinate factorization of
-sqrt(det g) from the atomic records in ``families.KINDS``: factors are
-independent, so every tensor is block-diagonal with one block per
-factor.
+Christoffel symbols and Riemann tensor from the atomic records in
+``families.KINDS``: factors are independent, so every tensor is
+block-diagonal with one block per factor.
 
 The two prebuilt manifolds are the 2-d exponential x exponential model
 (metric diag(1/mu_A^2, 1/mu_B^2), flat) and the 3-d Wigner-Dyson x
@@ -41,13 +40,12 @@ class ManifoldModel:
     ``metric_fn`` maps a coordinate vector to a symmetric positive
     definite (dim x dim) matrix, and a (k, dim) stack of points to the
     (k, dim, dim) stack of their metrics, so that finite differences
-    evaluate a whole stencil in one call.  ``sqrt_g_factors`` holds per-
-    coordinate functions whose product is sqrt(det g); the volume
-    integrals need the determinant to factorize.  ``christoffel_fn``/
+    evaluate a whole stencil in one call.  ``christoffel_fn``/
     ``riemann_fn`` are optional exact overrides used as oracles for (and
     fast paths around) the finite-difference pipeline; ``sample_box``
     is a finite per-coordinate box used when drawing random in-domain
-    test points; ``chart`` is the chart geodesics are integrated in.
+    test points; ``chart`` is the chart geodesics are integrated in and
+    volumes are measured in.
     """
 
     name: str
@@ -55,7 +53,6 @@ class ManifoldModel:
     coord_names: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
     metric_fn: Callable[[np.ndarray], np.ndarray]
-    sqrt_g_factors: tuple[Callable[[np.ndarray], np.ndarray], ...]
     christoffel_fn: Callable[[np.ndarray], np.ndarray] | None = None
     riemann_fn: Callable[[np.ndarray], np.ndarray] | None = None
     sample_box: tuple[tuple[float, float], ...] = field(default=())
@@ -173,16 +170,21 @@ class Chart:
         """g-norms of frame components, free of overflow in the squares."""
         return np.hypot.reduce(w * np.sqrt(self.frame_metric), axis=-1)
 
-    def frame_connection(self, x, gam: np.ndarray) -> np.ndarray:
+    def frame_connection(self, x, gam: np.ndarray,
+                         lengths: np.ndarray | None = None) -> np.ndarray:
         """Frame components omega^a_bc of a connection given in chart
-        coordinates, with nabla_{e_b} e_c = omega^a_bc e_a."""
-        return self._frame_connection(self.lengths(x), gam)
+        coordinates, with nabla_{e_b} e_c = omega^a_bc e_a.  ``lengths``
+        are the frame lengths at x, when the caller has them already."""
+        e = self.lengths(x) if lengths is None else lengths
+        return self._frame_connection(e, gam)
 
-    def frame_tensors(self, x, gam: np.ndarray,
-                      riem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def frame_tensors(self, x, gam: np.ndarray, riem: np.ndarray,
+                      lengths: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
         """Frame components of a connection and of a curvature tensor given
-        in chart coordinates, from one evaluation of the frame lengths."""
-        e = self.lengths(x)
+        in chart coordinates, from one evaluation of the frame lengths
+        (``lengths``, as in ``frame_connection``)."""
+        e = self.lengths(x) if lengths is None else lengths
         return self._frame_connection(e, gam), riem * (
             e[None, :, None, None] * e[None, None, :, None]
             * e[None, None, None, :] / e[:, None, None, None])
@@ -358,7 +360,6 @@ def _log_chart(layout, name: str, coord_names: tuple[str, ...],
         domain=tuple((-math.inf, math.inf) if ls else d
                      for d, ls in zip(domain, log_scale)),
         metric_fn=partial(_chart_metric, np.diag(frame_metric), -2.0 * rates),
-        sqrt_g_factors=(),
         christoffel_fn=partial(
             _constant, _closed_form(layout, "frame_christoffel", 3)(None)),
         riemann_fn=partial(
@@ -378,7 +379,6 @@ def model_from_family(fam: FamilySpec, name: str | None = None) -> ManifoldModel
         coord_names=fam.param_names,
         domain=fam.param_domain,
         metric_fn=_closed_form(layout, "metric", 2),
-        sqrt_g_factors=tuple(f for rec, _ in layout for f in rec.sqrt_g),
         christoffel_fn=_closed_form(layout, "christoffel", 3),
         riemann_fn=_closed_form(layout, "riemann", 4),
         sample_box=tuple(b for rec, _ in layout for b in rec.sample_box),
@@ -410,9 +410,6 @@ def euclidean_model(dim: int = 2) -> ManifoldModel:
         coord_names=tuple(f"x{i}" for i in range(dim)),
         domain=((-math.inf, math.inf),) * dim,
         metric_fn=lambda theta: np.zeros(np.shape(theta)[:-1] + eye.shape) + eye,
-        sqrt_g_factors=tuple(
-            (lambda v: np.ones_like(np.asarray(v, dtype=float)))
-            for _ in range(dim)),
         christoffel_fn=lambda theta: np.zeros((dim, dim, dim)),
         riemann_fn=lambda theta: np.zeros((dim, dim, dim, dim)),
         sample_box=tuple((-2.0, 2.0) for _ in range(dim)),

@@ -56,16 +56,21 @@ def test_metric_requires_point_or_grid(tmp_path, capsys):
     assert rc == 2
 
 
-def test_jobs_option_removed(tmp_path, capsys):
-    rc, _ = run(["metric", "--family", "gaussian", "--point", "mu=0,sigma=1",
-                 "--out", str(tmp_path / "a"), "--jobs", "2"], capsys)
+@pytest.mark.parametrize("argv, key", [
+    (["metric", "--family", "gaussian", "--point", "mu=0,sigma=1"], "jobs"),
+    (["ige", "--manifold", "integrable", "--tau-max", "5"], "quad_nodes"),
+], ids=["jobs", "quad_nodes"])
+def test_jobs_option_removed(tmp_path, capsys, argv, key):
+    flag = "--" + key.replace("_", "-")
+    rc, err = run(argv + ["--out", str(tmp_path / "a"), flag, "2"], capsys)
     assert rc == 2
+    assert flag in err
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"jobs": 2}))
-    rc, err = run(["metric", "--family", "gaussian", "--point", "mu=0,sigma=1",
-                   "--config", str(cfg), "--out", str(tmp_path / "b")], capsys)
+    cfg.write_text(json.dumps({key: 2}))
+    rc, err = run(argv + ["--config", str(cfg), "--out", str(tmp_path / "b")],
+                  capsys)
     assert rc == 2
-    assert json.loads(err.strip().splitlines()[-1])["field"] == "jobs"
+    assert json.loads(err.strip().splitlines()[-1])["field"] == key
 
 
 def test_curvature_chaotic_negative(tmp_path):
@@ -153,6 +158,28 @@ def test_ige_chaotic_linear(tmp_path):
     rep = read_json(out / "ige.json")
     assert rep["selected"] == "linear"
     assert rep["linear"]["slope"] > 0.0
+
+
+@pytest.mark.parametrize("manifold, theta0, v0", [
+    ("gaussian", "0,1", "0,-40"),
+    ("gaussian", "0,1", "0,-80"),
+    ("integrable", "1,1", "-80,0"),
+    ("chaotic", "1,0,1", "0,0,-80"),
+])
+def test_ige_deep_run_writes_strict_json(tmp_path, manifold, theta0, v0):
+    # A scale parameter falls to e^-400 or below, where theta reads 0.0;
+    # the entropy and its fits stay finite, and ige.json is strict JSON.
+    def reject(token):
+        raise ValueError(f"ige.json holds {token}")
+
+    out = tmp_path / "deep"
+    rc = main(["ige", "--manifold", manifold, f"--theta0={theta0}",
+               f"--v0={v0}", "--tau-max", "10", "--out", str(out)])
+    assert rc == 0
+    rep = json.loads((out / "ige.json").read_text(encoding="utf-8"),
+                     parse_constant=reject)
+    assert all(np.isfinite(rep[law][key]) for law in ("logarithmic", "linear")
+               for key in ("slope", "intercept", "r2", "aic"))
 
 
 def test_ige_tau_max_zero(tmp_path, capsys):

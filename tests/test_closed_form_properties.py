@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from igac import (christoffel, density, family, fisher_metric_closed_form,
                   fisher_metric_quadrature, model_from_family, moments,
                   riemann)
+from igac.ige import _log_volume_element
 from igac.quadrature import support_rule
 
 NAMES = ("exponential", "wigner_dyson", "gaussian",
@@ -75,12 +76,13 @@ def test_chart_frame_forms_match_finite_differences(name, data):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_sqrt_g_factors_multiply_to_sqrt_det(name, data):
+    # The per-coordinate factors of sqrt(det g) that the chart's frame
+    # metric and rates give, against the determinant of the metric.
     mdl = model_from_family(family(name))
     theta = draw_point(data, mdl)
-    prod = np.prod([float(f(np.asarray(v)))
-                    for f, v in zip(mdl.sqrt_g_factors, theta)])
-    assert prod == pytest.approx(np.sqrt(np.linalg.det(mdl.metric(theta))),
-                                 rel=1e-12)
+    log_root_det = _log_volume_element(mdl.chart, mdl.chart.to_chart(theta)).sum()
+    assert log_root_det == pytest.approx(
+        0.5 * np.log(np.linalg.det(mdl.metric_fn(theta))), abs=1e-12)
 
 
 @pytest.mark.parametrize("name", NAMES)

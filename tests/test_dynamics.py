@@ -313,7 +313,7 @@ def walled_chart(wall):
         name="walled", dim=2, coord_names=("x0", "x1"),
         domain=((-math.inf, 1.0 if wall == "domain" else math.inf),
                 (-math.inf, math.inf)),
-        metric_fn=metric, sqrt_g_factors=(),
+        metric_fn=metric,
         christoffel_fn=lambda x: np.zeros((2, 2, 2)),
         riemann_fn=lambda x: np.zeros((2, 2, 2, 2)))
     return replace(flat, chart=Chart(flat, np.zeros(2, dtype=bool),

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from igac import (DomainError, InapplicableError, InsufficientDataError,
-                  chaotic_model, compare_rates, fit_growth, integrable_model,
-                  integrate_geodesic, model_from_family, product_family,
-                  volume_series)
+                  chaotic_model, compare_rates, family, fit_growth,
+                  integrable_model, integrate_geodesic, model,
+                  model_from_family, product_family, volume_series)
 from igac.families import exponential_family
-from igac.ige import IGESeries
+from igac.ige import IGESeries, _log_instant_volume
 
 
 def expanding_run(mdl, theta0, v0, tau_max=100.0, samples=1024):
@@ -28,7 +31,7 @@ def test_integrable_volume_closed_form():
     # (symbolic integration of the double integral).
     im = integrable_model()
     traj = expanding_run(im, (1.0, 1.0), (1.0, 1.0))
-    series = volume_series(im, traj, quad_nodes=64)
+    series = volume_series(im, traj)
     for tau_chk in (10.0, 40.0, 100.0):
         i = np.argmin(np.abs(series.tau_samples - tau_chk))
         tau = series.tau_samples[i]
@@ -46,7 +49,7 @@ def test_general_speed_volume_closed_form():
     im = integrable_model()
     va, vb = 0.7, 1.3
     traj = expanding_run(im, (1.0, 1.0), (va, vb))
-    series = volume_series(im, traj, quad_nodes=64)
+    series = volume_series(im, traj)
     i = np.argmin(np.abs(series.tau_samples - 60.0))
     tau = series.tau_samples[i]
     assert series.volume[i] == pytest.approx(va * vb * tau ** 2 / 3.0, rel=5e-3)
@@ -131,8 +134,8 @@ def test_fit_window_validation():
 def test_volume_series_validation():
     im = integrable_model()
     traj = expanding_run(im, (1.0, 1.0), (1.0, 1.0), tau_max=5.0, samples=64)
-    with pytest.raises(DomainError):
-        volume_series(im, traj, quad_nodes=8)
+    with pytest.raises(InapplicableError):
+        volume_series(replace(im, chart=None), traj)
     with pytest.raises(DomainError):
         volume_series(chaotic_model(), traj)
 
@@ -167,3 +170,80 @@ def test_compare_rates_inapplicable_for_logarithmic():
     fit = fit_growth(synthetic_series(tau, np.log(tau)), (5.0, 100.0))
     with pytest.raises(InapplicableError):
         compare_rates(fit, 0.5)
+
+
+def oracle_log_volume(mdl, start, cur, active, nodes=64):
+    """log of the tensor Gauss-Legendre integral of sqrt(det g) over the
+    box from ``start`` to ``cur`` in the ``active`` coordinates, the others
+    held at ``cur``; scale coordinates are integrated in u = log(theta)."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    logs = np.array([d == (0.0, math.inf) for d in mdl.domain])
+    a, b = start.copy(), cur.copy()
+    a[logs], b[logs] = np.log(a[logs]), np.log(b[logs])
+    axes = [a[i] + 0.5 * (b[i] - a[i]) * (t + 1.0) if active[i] else b[i:i + 1]
+            for i in range(mdl.dim)]
+    weights = [0.5 * abs(b[i] - a[i]) * w if active[i] else np.ones(1)
+               for i in range(mdl.dim)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, mdl.dim)
+    wgt = np.prod(np.meshgrid(*weights, indexing="ij"), axis=0).ravel()
+    theta = np.where(logs, np.exp(grid), grid)
+    jac = np.exp((grid * (logs & active)).sum(axis=1))
+    root_det = np.sqrt(np.linalg.det(mdl.metrics(theta)))
+    return math.log(float(np.sum(wgt * root_det * jac)))
+
+
+VOLUME_MODELS = ("exponential", "wigner_dyson", "gaussian",
+                 "composite_integrable", "composite_chaotic", "euclidean")
+
+
+@pytest.mark.parametrize("name", VOLUME_MODELS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_log_instant_volume_matches_quadrature(name, data):
+    mdl = model(name) if name == "euclidean" else model_from_family(family(name))
+    box = mdl.sample_box
+
+    def point():
+        return np.array(data.draw(st.tuples(*(st.floats(lo, hi) for lo, hi in box))))
+
+    start, cur = point(), point()
+    active = ~np.array(data.draw(st.lists(st.booleans(), min_size=mdl.dim,
+                                          max_size=mdl.dim)))
+    cur[~active] = start[~active]
+    assume(np.all(np.abs(cur - start)[active] > 1e-6))
+    got = _log_instant_volume(mdl.chart, mdl.chart.to_chart(np.stack([start, cur])))
+    assert got[0] == -math.inf
+    if not active.any():
+        assert got[1] == -math.inf
+    else:
+        assert got[1] == pytest.approx(
+            oracle_log_volume(mdl, start, cur, active), abs=1e-10)
+
+
+@pytest.mark.parametrize("name, theta0, v0", [
+    ("gaussian", (0.0, 1.0), (0.0, -40.0)),
+    ("gaussian", (0.0, 1.0), (0.0, -80.0)),
+    ("gaussian", (0.0, 1.0), (0.0, -10000.0)),
+    ("integrable", (1.0, 1.0), (-80.0, 0.0)),
+    ("chaotic", (1.0, 0.0, 1.0), (0.0, 0.0, -80.0)),
+])
+def test_deep_runs_grow_like_slow_runs(name, theta0, v0):
+    # A scale parameter ends far below float64's range (e^-400 down to
+    # e^-100000), where theta reads 0.0, yet the entropy stays finite.  At
+    # 1/k of the speed the geodesic passes the same points at k times the
+    # tau, so S_fast(tau) = S_slow(k tau): the same law is selected, the
+    # logarithmic slope agrees and the linear slope scales by k.
+    mdl = model(name)
+    k = float(np.max(np.abs(v0)))
+    fast = volume_series(mdl, integrate_geodesic(mdl, theta0, v0, 10.0,
+                                                 samples=1024))
+    slow = volume_series(mdl, integrate_geodesic(
+        mdl, theta0, np.asarray(v0) / k, 10.0 * k, samples=1024))
+    assert len(fast.entropy) == 1023 and np.all(np.isfinite(fast.entropy))
+    fit_fast = fit_growth(fast, (1.0, 10.0))
+    fit_slow = fit_growth(slow, (k, 10.0 * k))
+    assert fit_fast.selected == fit_slow.selected
+    assert fit_fast.logarithmic.slope == pytest.approx(
+        fit_slow.logarithmic.slope, rel=1e-9)
+    assert fit_fast.linear.slope == pytest.approx(
+        k * fit_slow.linear.slope, rel=1e-9)

@@ -140,13 +140,3 @@ def test_model_from_product_family_dim():
     assert mdl.dim == 3
     np.testing.assert_allclose(mdl.metric((1.0, 2.0, 4.0)),
                                np.diag([1.0, 0.25, 0.0625]))
-
-
-def test_sqrt_g_factors_multiply_to_det():
-    for mdl in (integrable_model(), chaotic_model(), gaussian_model()):
-        theta = mdl.random_points(1, seed=9)[0]
-        prod = 1.0
-        for i, f in enumerate(mdl.sqrt_g_factors):
-            prod *= float(f(np.asarray(theta[i])))
-        det = np.linalg.det(mdl.metric(theta))
-        assert prod == pytest.approx(np.sqrt(det), rel=1e-12)
