@@ -31,8 +31,7 @@ from .spinchain import (ChainSpec, HistogramData, LsdResult, SpacingRatio,
                         SpectrumRecord, analyze_chain, build_hamiltonian,
                         diagonalize, ks_distance, lsd_verdict, max_spins,
                         mean_spacing_ratio, poisson_spacing_cdf,
-                        poisson_spacing_pdf,
-                        reflection_basis, spacing_histogram, unfold,
+                        poisson_spacing_pdf, spacing_histogram, unfold,
                         wigner_spacing_cdf, wigner_spacing_pdf)
 
 __version__ = "0.1.0"

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InapplicableError, InsufficientDataError
+from .errors import (DomainError, FitError, InapplicableError,
+                     InsufficientDataError)
 from .dynamics import GeodesicTrajectory
 from .manifold import Chart, ManifoldModel
 
@@ -167,10 +168,14 @@ def _least_squares(x: np.ndarray, y: np.ndarray, kind: str) -> GrowthFit:
 
 
 def fit_growth(series: IGESeries, window: tuple[float, float]) -> FitReport:
-    """Fit both growth laws on a window and select the lower-AIC one."""
+    """Fit both growth laws on a window and select the lower-AIC one.
+
+    A degenerate series (a trajectory that explores no volume, such as a
+    stationary start) has no entropy to fit and raises FitError.
+    """
     w0, w1 = float(window[0]), float(window[1])
     if series.degenerate:
-        raise InsufficientDataError("series is degenerate (no explored volume)")
+        raise FitError("series is degenerate (no explored volume)")
     mask = (series.tau_samples >= w0) & (series.tau_samples <= w1)
     n = int(mask.sum())
     if n < 20:

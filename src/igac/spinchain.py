@@ -32,6 +32,12 @@ come in exactly opposite pairs (a state and its bit complement), so the
 trace is exactly zero unless a partial sum of the trace itself rounds;
 over the field values tried that first happens at n = 7, for an h_y with
 a long binary expansion such as 0.6.
+
+Each sector's matrix is built densely in the basis of its
+reflection-orbit representatives: every bond and h_x flip of a
+representative is mapped to the representative of its image, with the
+parity sign and the orbit normalisation, so a parity sector never forms
+the 2^n-dimensional H or a projection onto the sector.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (FitError, InsufficientDataError, ResourceError,
                      ValidationError)
@@ -93,72 +98,50 @@ def _reverse_bits(states: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def reflection_basis(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Orthonormal bases of the site-reflection parity sectors.
+def _sector_matrix(n: int, h_x: float, h_y: float, sector: str) -> np.ndarray:
+    """Dense H' (see the module docstring) in one sector's basis.
 
-    Returns (even, odd) matrices of shape (2^n, d_sector) whose columns
-    are parity eigenvectors built from orbit representatives.
+    The basis holds one state per reflection orbit {s, R s}, labelled by
+    its representative r = min(s, R s): |r> for a palindrome (even sector
+    only) and (|r> + p |R r>) / sqrt(2) for a pair, with parity p = +-1;
+    the full sector takes R as the identity.  A flip of r with amplitude
+    a lands on s, whose representative r' gets a sigma sqrt(g_r / g_r'),
+    with g the orbit size (1 or 2) and sigma = p when s = R r', else 1
+    (Sandvik, arXiv:1101.3281).
     """
-    dim = 1 << n
-    states = np.arange(dim, dtype=np.int64)
-    partner = _reverse_bits(states, n)
-    reps = states[states <= partner]
-    rows_e, cols_e, data_e = [], [], []
-    rows_o, cols_o, data_o = [], [], []
-    col_e = col_o = 0
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for b in reps:
-        rb = int(partner[b])
-        if rb == b:
-            rows_e.append(b)
-            cols_e.append(col_e)
-            data_e.append(1.0)
-            col_e += 1
-        else:
-            rows_e.extend([b, rb])
-            cols_e.extend([col_e, col_e])
-            data_e.extend([inv_sqrt2, inv_sqrt2])
-            col_e += 1
-            rows_o.extend([b, rb])
-            cols_o.extend([col_o, col_o])
-            data_o.extend([inv_sqrt2, -inv_sqrt2])
-            col_o += 1
-    even = sp.csr_matrix((data_e, (rows_e, cols_e)), shape=(dim, col_e))
-    odd = sp.csr_matrix((data_o, (rows_o, cols_o)), shape=(dim, col_o))
-    return even, odd
-
-
-def _full_hamiltonian_sparse(n: int, h_x: float, h_y: float) -> sp.csr_matrix:
-    """Real H' (see the module docstring) on the full 2^n-state space."""
-    dim = 1 << n
-    cols = np.arange(dim, dtype=np.int64)
-    rows_all, cols_all, data_all = [], [], []
-    for j in range(n - 1):
-        flip = (1 << j) | (1 << (j + 1))
-        rows_all.append(cols ^ flip)
-        cols_all.append(cols)
-        data_all.append(np.ones(dim))
+    states = np.arange(1 << n, dtype=np.int64)
+    partner = states if sector == "full" else _reverse_bits(states, n)
+    parity = -1.0 if sector == "reflection_odd" else 1.0
+    reps = states[states < partner if parity < 0 else states <= partner]
+    index = np.full(len(states), -1, dtype=np.int64)
+    index[reps] = np.arange(len(reps))
+    orbit = np.where(partner == states, 1.0, 2.0)
+    # One product per state, not a per-site sum: h_y sz depends only on the
+    # popcount, so it is exactly reflection-invariant and exactly opposite
+    # for complementary states.
+    popcount = np.zeros_like(reps)
+    for j in range(n):
+        popcount += (reps >> j) & 1
+    h = np.zeros((len(reps), len(reps)))
+    np.fill_diagonal(h, h_y * (n - 2 * popcount).astype(float))
+    # Off-diagonal terms: the sx sx bonds (coupling 1), then the h_x flips.
+    masks, amps = [3 << j for j in range(n - 1)], [1.0] * (n - 1)
     if h_x != 0.0:
-        for j in range(n):
-            rows_all.append(cols ^ (1 << j))
-            cols_all.append(cols)
-            data_all.append(np.full(dim, h_x, dtype=float))
-    if h_y != 0.0:
-        # One product per state, not a per-site sum: the entry depends only
-        # on the popcount, so it is exactly reflection-invariant and exactly
-        # opposite for complementary states.
-        popcount = np.zeros(dim, dtype=np.int64)
-        for j in range(n):
-            popcount += (cols >> j) & 1
-        rows_all.append(cols)
-        cols_all.append(cols)
-        data_all.append(h_y * (n - 2 * popcount).astype(float))
-    if not rows_all:
-        return sp.csr_matrix((dim, dim), dtype=float)
-    return sp.csr_matrix(
-        (np.concatenate(data_all),
-         (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(dim, dim))
+        masks, amps = masks + [1 << j for j in range(n)], amps + [h_x] * n
+    images = reps[:, None] ^ np.array(masks, dtype=np.int64)
+    image_reps = np.minimum(images, partner[images])
+    rows = index[image_reps]  # -1: a palindrome, absent from the odd sector
+    cols = np.broadcast_to(index[reps][:, None], rows.shape)
+    values = (np.array(amps) * np.where(images == image_reps, 1.0, parity)
+              * np.sqrt(orbit[reps][:, None] / orbit[image_reps]))
+    # Two flips can reach the same representative, so the terms are
+    # accumulated; rounding would then make the two triangles differ in
+    # the last bit, so only the upper one is built and then mirrored.
+    upper = (rows >= 0) & (rows <= cols)
+    rows, cols = rows[upper], cols[upper]
+    np.add.at(h, (rows, cols), values[upper])
+    h[cols, rows] = h[rows, cols]
+    return h
 
 
 def _sector_dim(n: int, sector: str) -> int:
@@ -200,12 +183,7 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
             f"n={spec.n} {spec.sector}: a dense sector matrix of d={d} needs "
             f"{needed / 1e9:.2f} GB with the eigensolver's copy, more than the "
             f"{available / 1e9:.2f} GB of physical memory")
-    h = _full_hamiltonian_sparse(spec.n, spec.h_x, spec.h_y)
-    if spec.sector == "full":
-        return h.toarray()
-    even, odd = reflection_basis(spec.n)
-    basis = even if spec.sector == "reflection_even" else odd
-    return (basis.T @ h @ basis).toarray()
+    return _sector_matrix(spec.n, spec.h_x, spec.h_y, spec.sector)
 
 
 # Rows per block of the Hermitian check: bounds its temporary to

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import igac
 from igac.cli import main
 
 
@@ -309,6 +313,30 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
                    "--out", str(tmp_path / "m")], capsys)
     assert rc == 4
     assert json.loads(err.strip().splitlines()[-1])["error"] == "numerical"
+
+
+def test_stationary_ige_is_a_numerical_failure(tmp_path, capsys):
+    # Every input is valid; a start at rest explores no volume, so there
+    # is no entropy growth to fit.
+    rc, err = run(["ige", "--manifold", "integrable", "--v0", "0,0",
+                   "--out", str(tmp_path / "o")], capsys)
+    assert rc == 4
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "numerical"
+    assert "degenerate" in payload["message"]
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only where a computation needs it (scipy.special
+    # in families); at import it would cost most of a process start.
+    code = ("import sys, igac, igac.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    src = str(Path(igac.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_json_format_output(tmp_path):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from igac import (DomainError, InapplicableError, InsufficientDataError,
-                  chaotic_model, compare_rates, family, fit_growth,
-                  integrable_model, integrate_geodesic, model,
+from igac import (DomainError, FitError, InapplicableError,
+                  InsufficientDataError, chaotic_model, compare_rates, family,
+                  fit_growth, integrable_model, integrate_geodesic, model,
                   model_from_family, product_family, volume_series)
 from igac.families import exponential_family
 from igac.ige import IGESeries, _log_instant_volume
@@ -62,7 +62,7 @@ def test_stationary_trajectory_degenerate():
     assert series.degenerate
     np.testing.assert_allclose(series.instant_volume, 0.0)
     assert len(series.tau_samples) == 0
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(FitError):
         fit_growth(series, (1.0, 10.0))
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from igac import (InsufficientDataError, ResourceError, ValidationError,
                   analyze_chain, build_hamiltonian, cdf, diagonalize, family,
                   ks_distance, lsd_verdict, max_spins, mean_spacing_ratio,
-                  poisson_spacing_cdf, reflection_basis, spacing_histogram,
-                  unfold, wigner_spacing_cdf)
+                  poisson_spacing_cdf, spacing_histogram, unfold,
+                  wigner_spacing_cdf)
 from igac import spinchain
 from igac.errors import FitError
 from igac.spinchain import SECTORS, ChainSpec
@@ -34,6 +34,81 @@ def sample_wigner_levels(count, seed):
     u = rng.random(count)
     spacings = np.sqrt(-(4.0 / math.pi) * np.log1p(-u))
     return np.cumsum(spacings)
+
+
+def reflection_basis(n):
+    """Reference oracle: orthonormal bases of the two parity sectors.
+
+    Returns sparse (even, odd) matrices of shape (2^n, d_sector) whose
+    columns are the parity eigenvectors of the orbit representatives.
+    """
+    dim = 1 << n
+    states = np.arange(dim, dtype=np.int64)
+    partner = spinchain._reverse_bits(states, n)
+    reps = states[states <= partner]
+    rows_e, cols_e, data_e = [], [], []
+    rows_o, cols_o, data_o = [], [], []
+    col_e = col_o = 0
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for b in reps:
+        rb = int(partner[b])
+        if rb == b:
+            rows_e.append(b)
+            cols_e.append(col_e)
+            data_e.append(1.0)
+            col_e += 1
+        else:
+            rows_e.extend([b, rb])
+            cols_e.extend([col_e, col_e])
+            data_e.extend([inv_sqrt2, inv_sqrt2])
+            col_e += 1
+            rows_o.extend([b, rb])
+            cols_o.extend([col_o, col_o])
+            data_o.extend([inv_sqrt2, -inv_sqrt2])
+            col_o += 1
+    even = sp.csr_matrix((data_e, (rows_e, cols_e)), shape=(dim, col_e))
+    odd = sp.csr_matrix((data_o, (rows_o, cols_o)), shape=(dim, col_o))
+    return even, odd
+
+
+def _full_hamiltonian_sparse(n, h_x, h_y):
+    """Reference oracle: the real H' on the full 2^n-state space, sparse."""
+    dim = 1 << n
+    cols = np.arange(dim, dtype=np.int64)
+    rows_all, cols_all, data_all = [], [], []
+    for j in range(n - 1):
+        flip = (1 << j) | (1 << (j + 1))
+        rows_all.append(cols ^ flip)
+        cols_all.append(cols)
+        data_all.append(np.ones(dim))
+    if h_x != 0.0:
+        for j in range(n):
+            rows_all.append(cols ^ (1 << j))
+            cols_all.append(cols)
+            data_all.append(np.full(dim, h_x, dtype=float))
+    if h_y != 0.0:
+        popcount = np.zeros(dim, dtype=np.int64)
+        for j in range(n):
+            popcount += (cols >> j) & 1
+        rows_all.append(cols)
+        cols_all.append(cols)
+        data_all.append(h_y * (n - 2 * popcount).astype(float))
+    if not rows_all:
+        return sp.csr_matrix((dim, dim), dtype=float)
+    return sp.csr_matrix(
+        (np.concatenate(data_all),
+         (np.concatenate(rows_all), np.concatenate(cols_all))),
+        shape=(dim, dim))
+
+
+def projected_hamiltonian(spec):
+    """Reference oracle: the sparse H' projected onto the sector basis."""
+    h = _full_hamiltonian_sparse(spec.n, spec.h_x, spec.h_y)
+    if spec.sector == "full":
+        return h.toarray()
+    even, odd = reflection_basis(spec.n)
+    basis = even if spec.sector == "reflection_even" else odd
+    return (basis.T @ h @ basis).toarray()
 
 
 def complex_hamiltonian(spec):
@@ -89,6 +164,24 @@ def test_real_frame_matches_complex_oracle(n, h_x, h_y, sector):
     if h.size:
         gap = np.max(np.abs(diagonalize(h) - np.linalg.eigvalsh(oracle)))
         assert gap < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), h_x=FIELD, h_y=FIELD,
+       sector=st.sampled_from(SECTORS))
+@example(n=1, h_x=0, h_y=0, sector="full")  # no flips, no field
+@example(n=2, h_x=0.0, h_y=1.0, sector="reflection_odd")  # one pair, d = 1
+def test_orbit_build_matches_projection_oracle(n, h_x, h_y, sector):
+    spec = ChainSpec(n, h_x, h_y, sector=sector)
+    h = build_hamiltonian(spec)
+    assert h.dtype == np.float64
+    assert np.array_equal(h, h.T)
+    oracle = projected_hamiltonian(spec)
+    assert h.shape == oracle.shape
+    if sector == "full":
+        assert np.array_equal(h, oracle)
+    elif h.size:
+        assert np.max(np.abs(h - oracle)) <= 1e-12
 
 
 def test_single_spin_tilted_field():
