@@ -3,8 +3,9 @@
 Subcommands: metric, curvature, geodesic, jacobi, ige, chain, report.
 Shared flags (given after the subcommand): --config, --seed, --out,
 --format, --plot.  Flag values override config-file values,
-which override built-in defaults; the effective configuration is echoed
-to run_config.json in the output directory.
+which override built-in defaults; a config-file value passes the type
+and choices of its flag.  The effective configuration is echoed to
+run_config.json in the output directory.
 
 Exit codes: 0 success, 2 validation error, 3 resource error,
 4 numerical failure.  Errors print a machine-readable JSON object on
@@ -191,7 +192,27 @@ COMMAND_DEFAULTS = {
 }
 
 
-def _effective_config(args: argparse.Namespace) -> dict:
+def _config_value(flag: argparse.Action, key: str, val):
+    """A config-file value, converted and checked as its flag's text would
+    be: a switch such as --plot takes a JSON boolean, a typed flag parses
+    the value's text (so 10.7 is no int), and ``choices`` still apply."""
+    try:
+        if flag.nargs == 0:
+            ok = isinstance(val, bool)
+        else:
+            val = val if flag.type is None else flag.type(str(val))
+            ok = flag.choices is None or val in flag.choices
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValidationError(
+            f"config value {key}={val!r} is not accepted by "
+            f"{'/'.join(flag.option_strings) or key}", field=key)
+    return val
+
+
+def _effective_config(args: argparse.Namespace,
+                      parser: argparse.ArgumentParser) -> dict:
     """defaults <- config file <- explicitly given flags."""
     command = args.command
     merged = dict(GLOBAL_DEFAULTS)
@@ -209,12 +230,14 @@ def _effective_config(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ValidationError("config file must hold a JSON object",
                                   field="config")
+        (commands,) = [a for a in parser._actions if a.dest == "command"]
+        flags = {a.dest: a for a in commands.choices[command]._actions}
         for key, val in loaded.items():
             if key not in merged:
                 raise ValidationError(
                     f"unknown config key {key!r} for command {command!r}",
                     field=key)
-            merged[key] = val
+            merged[key] = _config_value(flags[key], key, val)
     for key in merged:
         val = getattr(args, key, None)
         if val is not None and val is not False and val != []:
@@ -641,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _effective_config(args)
+        cfg = _effective_config(args, parser)
         return _DISPATCH[args.command](cfg)
     except _VALIDATION_ERRORS as exc:
         _emit_error("validation", exc)

@@ -284,7 +284,8 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
                        min_step: float | None = None) -> GeodesicTrajectory:
     """Integrate the geodesic equation from (theta0, v0) up to tau_max.
 
-    The trajectory is recorded on a uniform grid of ``samples`` points.
+    The trajectory is recorded on a uniform grid of ``samples`` points,
+    at least two.
     A step-size underflow (below ``min_step``) raises SingularityError
     carrying the last valid integrator state (chart coordinates and
     frame components).
@@ -297,6 +298,9 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
         raise DomainError(f"tau_max must be positive, got {tau_max}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if samples < 2:
+        raise DomainError(f"samples must be >= 2, got {samples}",
+                          parameter="samples")
     chart = _chart_of(model)
     connection = _frame_connection(chart, use_closed_form)
     dim = model.dim

@@ -4,9 +4,10 @@ Three atomic families appear: the exponential law (mean-parametrized,
 the spacing law of uncorrelated levels), the Wigner-Dyson surmise
 (mean-parametrized, the level-repulsion law), and the one-dimensional
 Gaussian.  Each atomic kind has one ``AtomicKind`` record in ``KINDS``
-holding all its closed forms: density, moments, sampler and CDF, its
-Fisher-Rao metric, connection and curvature, and the same geometry in
-the log-scale chart that geodesics are integrated in.
+holding all its closed forms: density, moments, sampler and CDF, and
+its Fisher-Rao geometry as constant data in the log-scale chart that
+geodesics are integrated in (the theta-coordinate metric, connection
+and curvature are derived from it in ``igac.manifold``).
 Composites are independent products of atomic factors, assembled from
 the records with no per-kind code; the two named ones pair a spacing law
 with a field-energy "bath" factor:
@@ -45,22 +46,18 @@ class AtomicKind:
 
     Each form reads the family's parameters from a full parameter vector
     ``theta`` starting at the factor's offset ``o``, so composites call
-    the records of their factors with no per-kind code.  ``metric``,
-    ``christoffel`` and ``riemann`` write the factor's block into a
-    preallocated zero tensor in place: they run on every geodesic
-    right-hand side, where allocating a block per factor would cost
-    more than the arithmetic.  ``sample_box`` is a finite per-parameter
-    box for drawing test points.
+    the records of their factors with no per-kind code.  ``sample_box``
+    is a finite per-parameter box for drawing test points.
 
-    The chart forms describe the block in chart coordinates x, with
-    x = log(theta) on scale parameters (``log_scale``), and in the frame
-    e_a = exp(frame_rates[a] . x) d/dx^a.  In that frame every atomic
-    block has the constant diagonal metric ``frame_metric`` and a
-    constant connection and curvature, written by ``frame_christoffel``
-    and ``frame_riemann`` (their ``theta`` argument is unused); the chart
-    metric itself is frame_metric[a] * exp(-2 frame_rates[a] . x), so
-    the block's sqrt(det g), and the volumes of ``igac.ige``, follow from
-    these two fields with no form of their own.
+    The geometry is given once, as constant data, in chart coordinates
+    x, with x = log(theta) on scale parameters (``log_scale``), and in
+    the frame e_a = exp(frame_rates[a] . x) d/dx^a.  In that frame every
+    atomic block has the constant diagonal metric ``frame_metric`` and
+    the constant connection and curvature ``frame_christoffel`` and
+    ``frame_riemann``.  The chart metric is frame_metric[a] *
+    exp(-2 frame_rates[a] . x); ``igac.manifold`` derives the theta
+    metric, connection and curvature from these fields, and ``igac.ige``
+    the volumes, with no form of their own.
     """
 
     kind: str
@@ -71,13 +68,12 @@ class AtomicKind:
     moments: Callable      # (theta, o) -> (mean, variance)
     sample: Callable       # (theta, o, count, rng) -> draws
     cdf: Callable          # (theta, o, x) -> P(X <= x)
-    metric: Callable       # (theta, o, g) writes g[..., o:o+k, o:o+k]
-    christoffel: Callable  # (theta, o, gamma) writes the block of Gamma^a_bc
-    riemann: Callable      # (theta, o, riem) writes the block of R^m_nrs
     frame_metric: tuple[float, ...]
     frame_rates: tuple[tuple[float, ...], ...]
-    frame_christoffel: Callable  # (theta, o, gamma): the block in the frame
-    frame_riemann: Callable      # (theta, o, riem): the block in the frame
+    # Nonzero entries ((a, b, c), omega^a_bc) and ((m, n, r, s), R^m_nrs),
+    # indexed within the block.
+    frame_christoffel: tuple[tuple[tuple[int, ...], float], ...] = ()
+    frame_riemann: tuple[tuple[tuple[int, ...], float], ...] = ()
 
     @property
     def n_params(self) -> int:
@@ -87,26 +83,6 @@ class AtomicKind:
     def log_scale(self) -> tuple[bool, ...]:
         """Which parameters are scales, charted as their logarithm."""
         return tuple(d == _POS for d in self.param_domain)
-
-
-# Both spacing laws are scale families p(x) = f(x/mu)/mu: their Fisher
-# metric is c/mu^2 for a constant c, the connection is -1/mu whatever c
-# is, and the one-dimensional block is flat.  In u = log(mu) the metric
-# is the constant c du^2, so the chart connection vanishes.
-
-def _scale_metric(c: float):
-    def metric(theta, o, g):
-        g[..., o, o] = c / theta[..., o] ** 2
-    return metric
-
-
-def _scale_christoffel(theta, o, gam):
-    gam[o, o, o] = -1.0 / theta[o]
-
-
-def _flat(theta, o, out):
-    """A one-dimensional block carries no curvature (nor, in its log chart,
-    any connection)."""
 
 
 def _wigner_dyson_log_density(theta, o, x):
@@ -138,34 +114,10 @@ def _gaussian_cdf(theta, o, x):
     return 0.5 * (1.0 + erf((x - theta[o]) / (theta[o + 1] * math.sqrt(2.0))))
 
 
-def _gaussian_metric(theta, o, g):
-    s2 = theta[..., o + 1] ** 2
-    g[..., o, o] = 1.0 / s2
-    g[..., o + 1, o + 1] = 2.0 / s2
-
-
-def _gaussian_christoffel(theta, o, gam):
-    s = theta[o + 1]
-    gam[o, o, o + 1] = gam[o, o + 1, o] = -1.0 / s
-    gam[o + 1, o, o] = 0.5 / s
-    gam[o + 1, o + 1, o + 1] = -1.0 / s
-
-
-def _half_plane_riemann(o, riem, g_mu, g_sigma):
-    """Constant sectional curvature -1/2: R^m_nrs = -(d^m_r g_sn - d^m_s g_rn)/2,
-    for the diagonal metric (g_mu, g_sigma) of the Gaussian block."""
-    m, s = o, o + 1
-    riem[m, s, m, s] = -0.5 * g_sigma
-    riem[m, s, s, m] = 0.5 * g_sigma
-    riem[s, m, s, m] = -0.5 * g_mu
-    riem[s, m, m, s] = 0.5 * g_mu
-
-
-def _gaussian_riemann(theta, o, riem):
-    s2 = theta[o + 1] ** 2
-    _half_plane_riemann(o, riem, 1.0 / s2, 2.0 / s2)
-
-
+# Both spacing laws are scale families p(x) = f(x/mu)/mu with the Fisher
+# metric c/mu^2, i.e. the constant c du^2 in u = log(mu): flat, with no
+# connection in the log chart.
+#
 # In the chart (mu, u = log sigma) the Gaussian metric is
 # e^{-2u} dmu^2 + 2 du^2.  Its frame e_mu = e^u d/dmu, e_u = d/du has the
 # constant metric diag(1, 2) and constant connection: nabla_{e_mu} e_mu =
@@ -173,16 +125,8 @@ def _gaussian_riemann(theta, o, riem):
 # p = e^{-u} dmu/dtau and q = du/dtau, so the geodesic equation reads
 # dmu/dtau = e^u p, dp/dtau = p q, dq/dtau = -p^2 / 2: no product in it
 # over- or underflows however deep the geodesic runs into sigma -> 0.
-
-def _gaussian_frame_christoffel(theta, o, gam):
-    m, s = o, o + 1
-    gam[m, m, s] = -1.0
-    gam[s, m, m] = 0.5
-
-
-def _gaussian_frame_riemann(theta, o, riem):
-    _half_plane_riemann(o, riem, 1.0, 2.0)
-
+# The block has constant sectional curvature -1/2, so in the frame
+# R^m_nrs = -(delta^m_r g_sn - delta^m_s g_rn) / 2 with g = diag(1, 2).
 
 KINDS = {rec.kind: rec for rec in (
     AtomicKind(
@@ -194,13 +138,8 @@ KINDS = {rec.kind: rec for rec in (
             -theta[o] * np.log1p(-rng.random(count))),
         cdf=lambda theta, o, x: np.where(
             x >= 0.0, -np.expm1(-x / theta[o]), 0.0),
-        metric=_scale_metric(1.0),
-        christoffel=_scale_christoffel,
-        riemann=_flat,
         frame_metric=(1.0,),
-        frame_rates=((0.0,),),
-        frame_christoffel=_flat,
-        frame_riemann=_flat),
+        frame_rates=((0.0,),)),
     AtomicKind(
         WIGNER_DYSON, (_POS,), HALFLINE, (_SCALE_BOX,),
         log_density=_wigner_dyson_log_density,
@@ -210,26 +149,19 @@ KINDS = {rec.kind: rec for rec in (
             -(4.0 / math.pi) * np.log1p(-rng.random(count))),
         cdf=lambda theta, o, x: np.where(
             x >= 0.0, -np.expm1(-np.pi * x * x / (4.0 * theta[o] ** 2)), 0.0),
-        metric=_scale_metric(4.0),
-        christoffel=_scale_christoffel,
-        riemann=_flat,
         frame_metric=(4.0,),
-        frame_rates=((0.0,),),
-        frame_christoffel=_flat,
-        frame_riemann=_flat),
+        frame_rates=((0.0,),)),
     AtomicKind(
         GAUSSIAN, (_REAL, _POS), REALLINE, (_LOCATION_BOX, _SCALE_BOX),
         log_density=_gaussian_log_density,
         moments=lambda theta, o: (theta[o], theta[o + 1] ** 2),
         sample=_gaussian_sample,
         cdf=_gaussian_cdf,
-        metric=_gaussian_metric,
-        christoffel=_gaussian_christoffel,
-        riemann=_gaussian_riemann,
         frame_metric=(1.0, 2.0),
         frame_rates=((0.0, 1.0), (0.0, 0.0)),
-        frame_christoffel=_gaussian_frame_christoffel,
-        frame_riemann=_gaussian_frame_riemann),
+        frame_christoffel=(((0, 0, 1), -1.0), ((1, 0, 0), 0.5)),
+        frame_riemann=(((0, 1, 0, 1), -1.0), ((0, 1, 1, 0), 1.0),
+                       ((1, 0, 1, 0), -0.5), ((1, 0, 0, 1), 0.5))),
 )}
 
 

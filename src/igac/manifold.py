@@ -1,27 +1,30 @@
 """Riemannian statistical manifolds with the Fisher-Rao metric.
 
-A ``ManifoldModel`` is a coordinate box plus a metric field.  Models
-built from probability families assemble their closed-form metric,
-Christoffel symbols and Riemann tensor from the atomic records in
-``families.KINDS``: factors are independent, so every tensor is
-block-diagonal with one block per factor.
+A ``ManifoldModel`` is a coordinate box plus a metric field.  A model
+built from a probability family gets its ``Chart`` from the atomic
+records in ``families.KINDS``: the constant frame metric, connection and
+curvature of each factor, placed block-diagonally (factors are
+independent).  Its closed-form metric, Christoffel symbols and Riemann
+tensor in theta coordinates are derived from that chart, so the Fisher
+metric checked against quadrature of the density is built from the same
+data that drives the geodesics.
 
 The two prebuilt manifolds are the 2-d exponential x exponential model
 (metric diag(1/mu_A^2, 1/mu_B^2), flat) and the 3-d Wigner-Dyson x
 Gaussian model (metric diag(4/mu_A^2, 1/sigma_B^2, 2/sigma_B^2), whose
 Gaussian block has constant sectional curvature -1/2).
 
-Each model also carries the ``Chart`` its geodesics are integrated in:
-scale coordinates become their logarithms, which maps every prebuilt
-manifold onto all of R^dim, and vectors are carried in a frame in which
-the metric, connection and curvature are constant.
+The chart is where geodesics are integrated: scale coordinates become
+their logarithms, which maps every prebuilt manifold onto all of R^dim,
+and vectors are carried in a frame in which the metric, connection and
+curvature are constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -198,32 +201,6 @@ class Chart:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form Fisher metrics
-# ---------------------------------------------------------------------------
-
-def _assemble(blocks, shape: tuple[int, ...], theta: np.ndarray) -> np.ndarray:
-    """Zero tensor of ``shape`` (one per row of a stack of points) with
-    each (writer, offset) block written in."""
-    out = np.zeros(np.shape(theta)[:-1] + shape)
-    for write, o in blocks:
-        write(theta, o, out)
-    return out
-
-
-def _closed_form(layout, tensor: str, rank: int) -> Callable[[np.ndarray], np.ndarray]:
-    """theta -> the rank-``rank`` ``tensor`` assembled from factor records."""
-    dim = sum(rec.n_params for rec, _ in layout)
-    blocks = tuple((getattr(rec, tensor), o) for rec, o in layout)
-    return partial(_assemble, blocks, (dim,) * rank)
-
-
-def fisher_metric_closed_form(fam: FamilySpec, theta) -> np.ndarray:
-    """Exact Fisher-Rao metric; composites are block-diagonal in factors."""
-    th = check_params(fam, theta)
-    return _closed_form(factor_layout(fam), "metric", 2)(th)
-
-
-# ---------------------------------------------------------------------------
 # Fisher metric by quadrature
 # ---------------------------------------------------------------------------
 
@@ -339,18 +316,20 @@ def _chart_metric(eye_metric: np.ndarray, rates: np.ndarray,
     return np.exp(x @ rates.T)[..., None, :] * eye_metric
 
 
-def _constant(tensor: np.ndarray, x) -> np.ndarray:
-    return tensor
-
-
 def _log_chart(layout, name: str, coord_names: tuple[str, ...],
                domain: tuple[tuple[float, float], ...]) -> Chart:
     """The log-scale chart of a family, assembled from its factor records."""
     dim = len(coord_names)
     log_scale = np.array([f for rec, _ in layout for f in rec.log_scale])
     rates = np.zeros((dim, dim))
+    omega = np.zeros((dim,) * 3)
+    curvature = np.zeros((dim,) * 4)
     for rec, o in layout:
         rates[o:o + rec.n_params, o:o + rec.n_params] = rec.frame_rates
+        for entries, tensor in ((rec.frame_christoffel, omega),
+                                (rec.frame_riemann, curvature)):
+            for index, value in entries:
+                tensor[tuple(np.add(index, o))] = value
     frame_metric = np.array([g for rec, _ in layout for g in rec.frame_metric])
     chart_model = ManifoldModel(
         name=f"{name} (log chart)",
@@ -360,30 +339,86 @@ def _log_chart(layout, name: str, coord_names: tuple[str, ...],
         domain=tuple((-math.inf, math.inf) if ls else d
                      for d, ls in zip(domain, log_scale)),
         metric_fn=partial(_chart_metric, np.diag(frame_metric), -2.0 * rates),
-        christoffel_fn=partial(
-            _constant, _closed_form(layout, "frame_christoffel", 3)(None)),
-        riemann_fn=partial(
-            _constant, _closed_form(layout, "frame_riemann", 4)(None)),
+        christoffel_fn=lambda x: omega,
+        riemann_fn=lambda x: curvature,
         _log_coords=tuple(bool(ls) for ls in log_scale),
     )
     return Chart(chart_model, log_scale, rates, frame_metric)
+
+
+def _power_terms(rank: int, index: np.ndarray, coef: np.ndarray,
+                 power: np.ndarray, cols: np.ndarray,
+                 theta: np.ndarray) -> np.ndarray:
+    """Rank-``rank`` tensor, at a point or each row of a stack, that is zero
+    but at the flat indices ``index``, where term t adds
+    coef[t] / prod_j theta[cols[j]]^power[t, j].  Only these entries are
+    computed, each from one power product, so none overflows in an
+    intermediate or meets a zero as 0 * inf."""
+    *lead, dim = theta.shape
+    out = np.zeros((*lead, dim ** rank))
+    np.add.at(out, (..., index), coef / np.multiply.reduce(
+        theta[..., None, cols] ** power, axis=-1))
+    return out.reshape(*lead, *(dim,) * rank)
+
+
+def _theta_forms(chart: Chart) -> tuple[Callable, Callable, Callable]:
+    """The metric, Christoffel symbols and Riemann tensor in theta
+    coordinates, from a chart whose frame forms (its model's closed forms)
+    are constant.
+
+    The frame vector e_a has theta length L_a = prod_k theta_k^S_ak over the
+    log-scale coordinates k, with S = rates + diag(log_scale), so
+
+        g_ab = delta_ab frame_metric_a / L_a^2,
+        Gamma^a_bc = omega^a_bc L_a / (L_b L_c) - delta^a_c S_cb / theta_b,
+        R^m_nrs = Rhat^m_nrs L_m / (L_n L_r L_s),
+
+    with omega and Rhat the frame connection and curvature.  The nonzero
+    entries and their exponents are worked out here, once per chart.  L_a^2
+    is the product L_a * L_a (each log-scale column twice, exponents 0 or
+    1), so the metric is c / theta^2 rounded once, as a vectorised
+    theta ** 2 is not always.
+    """
+    cols = np.flatnonzero(chart.log_scale)
+    S = (chart.rates + np.diag(chart.log_scale))[:, cols]
+    dim = len(S)
+    omega = chart.model.christoffel_fn(np.zeros(dim))
+    curvature = chart.model.riemann_fn(np.zeros(dim))
+    a, b, c = np.nonzero(omega)
+    m, n, r, s = np.nonzero(curvature)
+    row, k = np.nonzero(S)  # the delta term sits at (row, cols[k], row)
+    gamma_index = np.ravel_multi_index(
+        (np.r_[a, row], np.r_[b, cols[k]], np.r_[c, row]), (dim,) * 3)
+    return (
+        partial(_power_terms, 2, np.arange(dim) * (dim + 1), chart.frame_metric,
+                np.hstack([S, S]), np.r_[cols, cols]),
+        partial(_power_terms, 3, gamma_index, np.r_[omega[a, b, c], -S[row, k]],
+                np.concatenate([S[b] + S[c] - S[a], np.eye(len(cols))[k]]),
+                cols),
+        partial(_power_terms, 4, np.ravel_multi_index((m, n, r, s), (dim,) * 4),
+                curvature[m, n, r, s], S[n] + S[r] + S[s] - S[m], cols))
 
 
 def model_from_family(fam: FamilySpec, name: str | None = None) -> ManifoldModel:
     """Statistical manifold of a family under its Fisher-Rao metric."""
     layout = factor_layout(fam)
     name = name or fam.name
+    chart = _log_chart(layout, name, fam.param_names, fam.param_domain)
     return ManifoldModel(
-        name=name,
-        dim=fam.n_params,
-        coord_names=fam.param_names,
-        domain=fam.param_domain,
-        metric_fn=_closed_form(layout, "metric", 2),
-        christoffel_fn=_closed_form(layout, "christoffel", 3),
-        riemann_fn=_closed_form(layout, "riemann", 4),
+        name, fam.n_params, fam.param_names, fam.param_domain,
+        *_theta_forms(chart),  # metric_fn, christoffel_fn, riemann_fn
         sample_box=tuple(b for rec, _ in layout for b in rec.sample_box),
-        chart=_log_chart(layout, name, fam.param_names, fam.param_domain),
-    )
+        chart=chart)
+
+
+# Models are immutable, so the closed-form metric of a family reuses one.
+_family_model = lru_cache(maxsize=16)(model_from_family)
+
+
+def fisher_metric_closed_form(fam: FamilySpec, theta) -> np.ndarray:
+    """Exact Fisher-Rao metric, from the family's chart; composites are
+    block-diagonal in factors."""
+    return _family_model(fam).metric_fn(check_params(fam, theta))
 
 
 def integrable_model() -> ManifoldModel:

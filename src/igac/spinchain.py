@@ -77,7 +77,6 @@ class ChainSpec:
     h_x: float
     h_y: float
     sector: str = "reflection_even"
-    boundary: str = "open"
 
     def __post_init__(self):
         if self.n < 1:
@@ -85,10 +84,6 @@ class ChainSpec:
         if self.sector not in SECTORS:
             raise ValidationError(
                 f"sector {self.sector!r} not in {SECTORS}", field="sector")
-        if self.boundary != "open":
-            raise ValidationError(
-                f"only open boundaries are supported, got {self.boundary!r}",
-                field="boundary")
 
 
 def _reverse_bits(states: np.ndarray, n: int) -> np.ndarray:
@@ -263,14 +258,15 @@ def wigner_spacing_cdf(s: np.ndarray) -> np.ndarray:
 
 
 def poisson_spacing_pdf(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    return np.where(s >= 0.0, np.exp(-s), 0.0)
+    """Unit-mean exponential spacing density, exp(-s)."""
+    return np.exp(KINDS[EXPONENTIAL].log_density(
+        _UNIT_MEAN, 0, np.asarray(s, dtype=float)))
 
 
 def wigner_spacing_pdf(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    return np.where(s >= 0.0,
-                    (math.pi / 2.0) * s * np.exp(-math.pi * s * s / 4.0), 0.0)
+    """Unit-mean Wigner-Dyson spacing density, (pi s / 2) exp(-pi s^2 / 4)."""
+    return np.exp(KINDS[WIGNER_DYSON].log_density(
+        _UNIT_MEAN, 0, np.asarray(s, dtype=float)))
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:

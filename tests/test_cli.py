@@ -307,6 +307,48 @@ def test_config_unknown_key(tmp_path, capsys):
     assert json.loads(err.strip().splitlines()[-1])["field"] == "bogus"
 
 
+IGE_RUN = ["ige", "--manifold", "integrable"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (IGE_RUN, {"samples": "abc"}),
+    (["chain", "--n", "8"], {"n": 10.7}),
+    (IGE_RUN, {"plot": "no"}),
+    (IGE_RUN, {"format": "xml"}),
+], ids=["samples_text", "n_fraction", "plot_text", "format_choice"])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config):
+    # A config value passes the type and choices of its flag, as the
+    # flag's own text would; the flag given on the command line does not
+    # mask it.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    rc, err = run(argv + ["--config", str(cfg), "--out", str(out)], capsys)
+    assert rc == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "validation"
+    assert payload["field"] == next(iter(config))
+    assert not out.exists()
+
+
+def test_config_int_for_float_flag_is_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau_max": 50}))
+    out = tmp_path / "o"
+    assert main(IGE_RUN + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert read_json(out / "run_config.json")["tau_max"] == 50.0
+
+
+@pytest.mark.parametrize("samples", ["0", "-5", "1"])
+def test_too_few_samples_is_a_validation_error(tmp_path, capsys, samples):
+    rc, err = run(["geodesic", "--manifold", "gaussian", "--samples", samples,
+                   "--out", str(tmp_path / "o")], capsys)
+    assert rc == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "validation"
+    assert payload["field"] == "samples"
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     rc, err = run(["metric", "--family", "wigner_dyson", "--point", "mu=0.7",
                    "--nodes", "4", "--quad-tol", "1e-16",

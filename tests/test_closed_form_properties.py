@@ -1,6 +1,9 @@
 """Closed forms of every atomic record and both composites, checked against
 independent numerics at points drawn from the whole sampling box."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,67 @@ def test_metric_matches_quadrature(name, data):
     assert closed.tobytes() == mdl.metric(theta).tobytes()
     quad = fisher_metric_quadrature(fam, theta).matrix
     assert np.linalg.norm(quad - closed) / np.linalg.norm(closed) < 1e-5
+
+
+def theta_forms_written_out(fam, theta):
+    """The theta-coordinate metric, Christoffel symbols and Riemann tensor
+    of a family, written per factor: c/mu^2 with c = 1 (exponential) or 4
+    (Wigner-Dyson), flat, Gamma = -1/mu; and the Gaussian's
+    diag(1/sigma^2, 2/sigma^2), a half-plane of curvature -1/2."""
+    dim = len(theta)
+    g, gam, riem = np.zeros((dim, dim)), np.zeros((dim,) * 3), np.zeros((dim,) * 4)
+    o = 0
+    for fac in fam.atomic_factors():
+        if fac.kind == "gaussian":
+            m, s = o, o + 1
+            sigma = theta[s]
+            g[m, m], g[s, s] = 1.0 / (sigma * sigma), 2.0 / (sigma * sigma)
+            gam[m, m, s] = gam[m, s, m] = -1.0 / sigma
+            gam[s, m, m] = 0.5 / sigma
+            gam[s, s, s] = -1.0 / sigma
+            # R^m_nrs = -(delta^m_r g_sn - delta^m_s g_rn) / 2
+            riem[m, s, m, s], riem[m, s, s, m] = -0.5 * g[s, s], 0.5 * g[s, s]
+            riem[s, m, s, m], riem[s, m, m, s] = -0.5 * g[m, m], 0.5 * g[m, m]
+        else:
+            c = 4.0 if fac.kind == "wigner_dyson" else 1.0
+            g[o, o] = c / (theta[o] * theta[o])
+            gam[o, o, o] = -1.0 / theta[o]
+        o += fac.n_params
+    return g, gam, riem
+
+
+def draw_deep_point(data, mdl):
+    """A point of the sampling box, or one whose scale coordinates reach
+    e^-340 .. e^340."""
+    return np.array(data.draw(st.tuples(*(
+        st.one_of(st.floats(lo, hi), st.floats(-340.0, 340.0).map(math.exp))
+        if dom == (0.0, math.inf) else st.floats(lo, hi)
+        for (lo, hi), dom in zip(mdl.sample_box, mdl.domain)))))
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_theta_forms_derived_from_the_chart_match_written_forms(name, data):
+    # The theta tensors come from the chart's constant frame forms; the
+    # metric stays bitwise equal to c / theta^2, and each entry of Gamma
+    # and R is within 1e-15 of the written form, with no NaN and no
+    # floating-point warning, however deep the scale coordinates are.
+    fam = family(name)
+    mdl = model_from_family(fam)
+    theta = draw_deep_point(data, mdl)
+    g, gam, riem = theta_forms_written_out(fam, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mdl.metric(theta).tobytes() == g.tobytes()
+        assert fisher_metric_closed_form(fam, theta).tobytes() == g.tobytes()
+        assert (mdl.metrics(np.stack([theta, theta])).tobytes()
+                == np.stack([g, g]).tobytes())
+        derived = christoffel(mdl, theta), riemann(mdl, theta)
+    for new, old in zip(derived, (gam, riem)):
+        assert not np.isnan(new).any()
+        assert np.array_equal(np.isfinite(new), np.isfinite(old))
+        assert np.all(np.abs(new - old) <= 1e-15 * np.abs(old))
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -309,8 +309,6 @@ def test_chain_spec_validation():
         ChainSpec(0, 1.0, 1.0)
     with pytest.raises(ValidationError):
         ChainSpec(4, 1.0, 1.0, sector="momentum")
-    with pytest.raises(ValidationError):
-        ChainSpec(4, 1.0, 1.0, boundary="periodic")
 
 
 def test_unfold_picket_fence():
