@@ -171,27 +171,6 @@ def _parse_grid(text: str, fam) -> list[np.ndarray]:
 # Configuration plumbing
 # ---------------------------------------------------------------------------
 
-GLOBAL_DEFAULTS = {"seed": 0, "out": "igac-out", "format": "csv",
-                   "plot": False}
-
-COMMAND_DEFAULTS = {
-    "metric": {"family": None, "point": None, "grid": None, "nodes": 200,
-               "quad_tol": 1e-8, "fd_step": 1e-5},
-    "curvature": {"manifold": None, "point": None, "sample": None,
-                  "fd_step": 1e-4, "atol": 1e-5},
-    "geodesic": {"manifold": None, "theta0": None, "v0": None,
-                 "tau_max": 10.0, "tol": 1e-8, "samples": 512},
-    "jacobi": {"manifold": None, "theta0": None, "v0": None, "j0": None,
-               "dj0": None, "tau_max": 30.0, "tol": 1e-8, "samples": 512,
-               "window": None},
-    "ige": {"manifold": None, "theta0": None, "v0": None, "tau_max": 100.0,
-            "tol": 1e-8, "samples": 1024, "window": None},
-    "chain": {"n": 11, "hx": 1.0, "hy": 1.0, "sector": "reflection_even",
-              "poly_degree": 7, "trim": 0.1, "margin": 0.01, "bins": 40},
-    "report": {"inputs": []},
-}
-
-
 def _config_value(flag: argparse.Action, key: str, val):
     """A config-file value, converted and checked as its flag's text would
     be: a switch such as --plot takes a JSON boolean, a typed flag parses
@@ -211,12 +190,10 @@ def _config_value(flag: argparse.Action, key: str, val):
     return val
 
 
-def _effective_config(args: argparse.Namespace,
-                      parser: argparse.ArgumentParser) -> dict:
-    """defaults <- config file <- explicitly given flags."""
-    command = args.command
-    merged = dict(GLOBAL_DEFAULTS)
-    merged.update(COMMAND_DEFAULTS[command])
+def _effective_config(parser: argparse.ArgumentParser, argv: list[str] | None,
+                      args: argparse.Namespace) -> dict:
+    """defaults <- config file <- explicitly given flags: config values
+    become the subcommand's defaults, and argv is parsed again over them."""
     if args.config is not None:
         cfg_path = Path(args.config)
         if not cfg_path.exists():
@@ -231,19 +208,18 @@ def _effective_config(args: argparse.Namespace,
             raise ValidationError("config file must hold a JSON object",
                                   field="config")
         (commands,) = [a for a in parser._actions if a.dest == "command"]
-        flags = {a.dest: a for a in commands.choices[command]._actions}
+        subparser = commands.choices[args.command]
+        flags = {a.dest: a for a in subparser._actions}
+        known = vars(args).keys() - {"command", "config"}
         for key, val in loaded.items():
-            if key not in merged:
+            if key not in known:
                 raise ValidationError(
-                    f"unknown config key {key!r} for command {command!r}",
+                    f"unknown config key {key!r} for command {args.command!r}",
                     field=key)
-            merged[key] = _config_value(flags[key], key, val)
-    for key in merged:
-        val = getattr(args, key, None)
-        if val is not None and val is not False and val != []:
-            merged[key] = val
-    merged["command"] = command
-    return merged
+            loaded[key] = _config_value(flags[key], key, val)
+        subparser.set_defaults(**loaded)
+        args = parser.parse_args(argv)
+    return {k: v for k, v in vars(args).items() if k != "config"}
 
 
 def _require(cfg: dict, key: str):
@@ -340,14 +316,13 @@ def cmd_curvature(cfg: dict) -> int:
     if cfg["point"] is not None:
         points = [np.array(_parse_floats(cfg["point"], "point"))]
     else:
-        count = int(cfg["sample"]) if cfg["sample"] is not None else 50
+        count = int(cfg["sample"])
         if count < 1:
             raise ValidationError("--sample must be >= 1", field="sample")
         points = list(mdl.random_points(count, int(cfg["seed"])))
     fd_step = float(cfg["fd_step"])
     reports = [geometry.curvature(mdl, p, fd_step) for p in points]
-    sign = geometry.scalar_sign_classification(mdl, points, fd_step,
-                                               atol=float(cfg["atol"]))
+    sign = geometry.scalar_sign_classification(reports, atol=float(cfg["atol"]))
     out = _out_dir(cfg)
     pairs = list(reports[0].sectional)
     columns = [f"{c} (coordinate units)" for c in mdl.coord_names]
@@ -370,12 +345,8 @@ def _run_geodesic(cfg: dict):
     mdl = manifold.model(_require(cfg, "manifold"))
     theta0 = _canonical(cfg, "theta0", mdl.name, mdl.dim, "theta0")
     v0 = _canonical(cfg, "v0", mdl.name, mdl.dim, "v0")
-    tau_max = float(cfg["tau_max"])
-    if not tau_max > 0:
-        raise ValidationError(f"--tau-max must be positive, got {tau_max}",
-                              field="tau_max")
     traj = dynamics.integrate_geodesic(
-        mdl, theta0, v0, tau_max, tol=float(cfg["tol"]),
+        mdl, theta0, v0, float(cfg["tau_max"]), tol=float(cfg["tol"]),
         samples=int(cfg["samples"]))
     return mdl, traj
 
@@ -568,12 +539,13 @@ def cmd_report(cfg: dict) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, help="random seed (default 0)")
-    common.add_argument("--out", help="output directory (default igac-out)")
-    common.add_argument("--format", choices=("csv", "json"),
-                        help="tabular data format (default csv)")
-    common.add_argument("--plot", action="store_true", default=False,
-                        help="emit SVG plots")
+    common.add_argument("--seed", type=int, default=0,
+                        help="random seed (default %(default)s)")
+    common.add_argument("--out", default="igac-out",
+                        help="output directory (default %(default)s)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="tabular data format (default %(default)s)")
+    common.add_argument("--plot", action="store_true", help="emit SVG plots")
 
     parser = argparse.ArgumentParser(
         prog="igac",
@@ -585,29 +557,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILY_NAMES)
     p.add_argument("--point", help="name=value,... single parameter point")
     p.add_argument("--grid", help="name=lo:hi:count,... parameter grid")
-    p.add_argument("--nodes", type=int, help="initial quadrature nodes")
-    p.add_argument("--quad-tol", dest="quad_tol", type=float,
+    p.add_argument("--nodes", type=int, default=200,
+                   help="initial quadrature nodes")
+    p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-8,
                    help="quadrature refinement tolerance")
-    p.add_argument("--fd-step", dest="fd_step", type=float,
+    p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-5,
                    help="relative central-difference step")
 
     p = sub.add_parser("curvature", parents=[common],
                        help="curvature tensors and scalar-sign classification")
     p.add_argument("--manifold", choices=MODEL_NAMES)
     p.add_argument("--point", help="comma-separated coordinates")
-    p.add_argument("--sample", type=int,
-                   help="number of random in-domain points (default 50)")
-    p.add_argument("--fd-step", dest="fd_step", type=float)
-    p.add_argument("--atol", type=float, help="sign-classification tolerance")
+    p.add_argument("--sample", type=int, default=50,
+                   help="random in-domain points (default %(default)s)")
+    p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-4)
+    p.add_argument("--atol", type=float, default=1e-5,
+                   help="sign-classification tolerance")
 
-    for name, extra in (("geodesic", False), ("jacobi", True), ("ige", None)):
+    for name, extra, tau_max, samples in (("geodesic", False, 10.0, 512),
+                                          ("jacobi", True, 30.0, 512),
+                                          ("ige", None, 100.0, 1024)):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("--manifold", choices=MODEL_NAMES)
         p.add_argument("--theta0", help="comma-separated start coordinates")
         p.add_argument("--v0", help="comma-separated start velocity")
-        p.add_argument("--tau-max", dest="tau_max", type=float)
-        p.add_argument("--tol", type=float, help="integrator tolerance")
-        p.add_argument("--samples", type=int, help="grid points recorded")
+        p.add_argument("--tau-max", dest="tau_max", type=float,
+                       default=tau_max)
+        p.add_argument("--tol", type=float, default=1e-8,
+                       help="integrator tolerance")
+        p.add_argument("--samples", type=int, default=samples,
+                       help="grid points recorded")
         if extra is True:
             p.add_argument("--j0", help="initial deviation components")
             p.add_argument("--dj0", help="initial covariant deviation rate")
@@ -617,14 +596,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", parents=[common],
                        help="spin-chain spectrum and spacing statistics")
-    p.add_argument("--n", type=int, help="number of spins")
-    p.add_argument("--hx", type=float, help="x field component")
-    p.add_argument("--hy", type=float, help="y field component")
-    p.add_argument("--sector", choices=spinchain.SECTORS)
-    p.add_argument("--poly-degree", dest="poly_degree", type=int)
-    p.add_argument("--trim", type=float, help="edge trim fraction")
-    p.add_argument("--margin", type=float, help="verdict KS margin")
-    p.add_argument("--bins", type=int, help="histogram bins for --plot")
+    p.add_argument("--n", type=int, default=11, help="number of spins")
+    p.add_argument("--hx", type=float, default=1.0, help="x field component")
+    p.add_argument("--hy", type=float, default=1.0, help="y field component")
+    p.add_argument("--sector", choices=spinchain.SECTORS,
+                   default="reflection_even")
+    p.add_argument("--poly-degree", dest="poly_degree", type=int, default=7)
+    p.add_argument("--trim", type=float, default=0.1,
+                   help="edge trim fraction")
+    p.add_argument("--margin", type=float, default=0.01,
+                   help="verdict KS margin")
+    p.add_argument("--bins", type=int, default=40,
+                   help="histogram bins for --plot")
 
     p = sub.add_parser("report", parents=[common],
                        help="bundle prior JSON outputs into one record")
@@ -664,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _effective_config(args, parser)
+        cfg = _effective_config(parser, argv, args)
         return _DISPATCH[args.command](cfg)
     except _VALIDATION_ERRORS as exc:
         _emit_error("validation", exc)

@@ -26,11 +26,12 @@ first-order covariant form,
     dJ/dtau = K - omega(v, J),      dK/dtau = -omega(v, K) - R(J, v)v,
 
 with K the covariant rate of J, so flat manifolds give exactly affine
-growth and constant negative curvature gives sinh growth.  On the
-finite-difference path each right-hand side makes one stacked pass over
-the curvature stencil of x (one ``christoffel`` call on a stack of
-points), which yields omega and R together.  Each trajectory carries the
-walk's statistics (``SolverStats``).
+growth and constant negative curvature gives sinh growth.  Geodesics use
+the chart's closed-form connection.  The deviation equation can also take
+omega and R by finite differences, as a check on the closed forms: each
+right-hand side then makes one stacked pass over the curvature stencil of
+x (one ``christoffel`` call on a stack of points), which yields both.
+Each trajectory carries the walk's statistics (``SolverStats``).
 """
 from __future__ import annotations
 
@@ -132,8 +133,7 @@ def _dense(y0: np.ndarray, y1: np.ndarray, ks: np.ndarray, h: float,
     return y0 + s * (ydiff + s1 * (bspl + s * (r4 + s1 * r5)))
 
 
-def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
-                       min_step: float | None = None
+def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float
                        ) -> tuple[np.ndarray, SolverStats]:
     """Adaptive Dormand-Prince walk: the state at every grid node, and the
     walk's statistics.
@@ -142,7 +142,7 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
     grid nodes it spans from the continuous extension.  A NaN or inf
     error estimate rejects the step and shrinks it, so a state that
     leaves float64's range ends in SingularityError once the step falls
-    below the floor (``min_step``).
+    below the floor, 1e-14 of the span (at least 1e-14).
     """
     atol = rtol = float(tol)
     y = np.array(y0, dtype=float)
@@ -151,7 +151,7 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float,
     tau, end = float(grid[0]), float(grid[-1])
     span = end - tau
     h = 1e-2 * span
-    floor = min_step if min_step is not None else 1e-14 * max(1.0, span)
+    floor = 1e-14 * max(1.0, span)
     ks = np.empty((7, y.size))
     ks[0] = rhs(tau, y)
     filled, calls, accepted, rejected, smallest = 1, 1, 0, 0, math.inf
@@ -199,31 +199,10 @@ def _chart_of(model: ManifoldModel) -> Chart:
     return model.chart
 
 
-def _frame_connection(chart: Chart, use_closed_form: bool):
-    """Callable (x, lengths=None) -> frame components of the connection.
-
-    The chart model's closed forms are frame components already; its
-    finite-difference connection is in chart components and is converted.
-    At a stage outside the chart, or where the chart metric leaves
-    float64's range, it returns NaN, which rejects the step.
-    """
-    cm = chart.model
-    closed = use_closed_form and cm.christoffel_fn is not None
-    undefined = np.full((cm.dim,) * 3, np.nan)
-
-    def connection(x, lengths=None):
-        try:
-            gam = christoffel(cm, x, use_closed_form=closed)
-        except (DomainError, InversionError):
-            return undefined
-        return gam if closed else chart.frame_connection(x, gam, lengths)
-
-    return connection
-
-
 def _frame_tensors(chart: Chart, use_closed_form: bool):
     """Callable (x, lengths=None) -> frame components of the connection and
-    the curvature, NaN where they are undefined (as in ``_frame_connection``).
+    the curvature, NaN at a stage outside the chart or where the chart
+    metric leaves float64's range, which rejects the step.
 
     Finite differences make one ``christoffel`` call on the curvature
     stencil of x: one metric call and one batched inverse give the
@@ -279,41 +258,43 @@ def _chart_state(chart: Chart, theta: np.ndarray, *vectors) -> np.ndarray:
 
 
 def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
-                       tol: float = 1e-8, samples: int = 512,
-                       use_closed_form: bool = True,
-                       min_step: float | None = None) -> GeodesicTrajectory:
+                       tol: float = 1e-8,
+                       samples: int = 512) -> GeodesicTrajectory:
     """Integrate the geodesic equation from (theta0, v0) up to tau_max.
 
     The trajectory is recorded on a uniform grid of ``samples`` points,
-    at least two.
-    A step-size underflow (below ``min_step``) raises SingularityError
-    carrying the last valid integrator state (chart coordinates and
-    frame components).
+    at least two.  The connection is the chart model's closed form.  A
+    step-size underflow raises SingularityError carrying the last valid
+    integrator state (chart coordinates and frame components).
     """
     th0 = model.check_point(theta0)
     v0 = np.asarray(v0, dtype=float).reshape(-1)
     if v0.size != model.dim:
         raise ShapeError(f"velocity of size {v0.size} does not match dim {model.dim}")
     if not tau_max > 0.0:
-        raise DomainError(f"tau_max must be positive, got {tau_max}")
+        raise DomainError(f"tau_max must be positive, got {tau_max}",
+                          parameter="tau_max")
     if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+        raise DomainError(f"tol must be positive, got {tol}", parameter="tol")
     if samples < 2:
         raise DomainError(f"samples must be >= 2, got {samples}",
                           parameter="samples")
     chart = _chart_of(model)
-    connection = _frame_connection(chart, use_closed_form)
     dim = model.dim
+    undefined = np.full((dim,) * 3, np.nan)
 
     def rhs(tau, y):
         x, w = y[:dim], y[dim:]
-        e = chart.lengths(x)
-        return np.concatenate([e * w, -(w @ connection(x, e)) @ w])
+        try:
+            gam = christoffel(chart.model, x)
+        except DomainError:  # a stage outside the chart rejects the step
+            gam = undefined
+        return np.concatenate([chart.lengths(x) * w, -(w @ gam) @ w])
 
     grid = np.linspace(0.0, float(tau_max), int(samples))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         states, solver = _integrate_on_grid(rhs, _chart_state(chart, th0, v0),
-                                            grid, tol, min_step=min_step)
+                                            grid, tol)
         return _result(model, chart, grid, states, solver)
 
 

@@ -13,7 +13,8 @@ batched inverse.  The curvature stencil of a point (the point and its
 2*dim shifts) gives the connection there (row 0) and the curvature from
 all rows, so connection and curvature together cost one pass.  Steps
 are fd_step * max(1, |theta|), and plain fd_step on log-scale chart
-coordinates.
+coordinates.  Geodesics take the closed-form connection; a
+finite-difference Jacobi right-hand side makes one such pass.
 """
 
 from __future__ import annotations
@@ -244,16 +245,16 @@ class SignReport:
     n_points: int
 
 
-def scalar_sign_classification(model: ManifoldModel, sample_points,
-                               fd_step: float = DEFAULT_FD_STEP,
+def scalar_sign_classification(reports: list[CurvatureReport],
                                atol: float = 1e-5) -> SignReport:
-    """Classify the scalar-curvature sign over a point sample.
+    """Classify the scalar-curvature sign over the ``curvature`` reports of
+    a point sample.
 
     ``negative`` requires every scalar below -atol; ``non-negative``
     requires every scalar above -atol (zero within tolerance counts);
     anything else is ``mixed``.
     """
-    scalars = [curvature(model, p, fd_step).scalar for p in sample_points]
+    scalars = [r.scalar for r in reports]
     lo, hi = float(min(scalars)), float(max(scalars))
     if hi < -atol:
         classification = "negative"

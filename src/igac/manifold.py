@@ -140,8 +140,8 @@ class Chart:
     chart coordinates: its ``metric_fn`` is the chart metric in coordinate
     components, which the finite-difference path differentiates, while
     its ``christoffel_fn`` and ``riemann_fn`` give the closed forms as
-    frame components (``frame_connection`` and ``frame_tensors`` convert
-    the finite-difference tensors to the same components).
+    frame components (``frame_tensors`` converts the finite-difference
+    tensors to the same components).
     The coordinate maps, ``lengths``, ``theta_lengths`` and ``norms`` take
     one point or a stack of points, one per row.
     """
@@ -173,20 +173,13 @@ class Chart:
         """g-norms of frame components, free of overflow in the squares."""
         return np.hypot.reduce(w * np.sqrt(self.frame_metric), axis=-1)
 
-    def frame_connection(self, x, gam: np.ndarray,
-                         lengths: np.ndarray | None = None) -> np.ndarray:
-        """Frame components omega^a_bc of a connection given in chart
-        coordinates, with nabla_{e_b} e_c = omega^a_bc e_a.  ``lengths``
-        are the frame lengths at x, when the caller has them already."""
-        e = self.lengths(x) if lengths is None else lengths
-        return self._frame_connection(e, gam)
-
     def frame_tensors(self, x, gam: np.ndarray, riem: np.ndarray,
                       lengths: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Frame components of a connection and of a curvature tensor given
-        in chart coordinates, from one evaluation of the frame lengths
-        (``lengths``, as in ``frame_connection``)."""
+        in chart coordinates, with nabla_{e_b} e_c = omega^a_bc e_a.
+        ``lengths`` are the frame lengths at x, when the caller has them
+        already."""
         e = self.lengths(x) if lengths is None else lengths
         return self._frame_connection(e, gam), riem * (
             e[None, :, None, None] * e[None, None, :, None]
@@ -331,6 +324,8 @@ def _log_chart(layout, name: str, coord_names: tuple[str, ...],
             for index, value in entries:
                 tensor[tuple(np.add(index, o))] = value
     frame_metric = np.array([g for rec, _ in layout for g in rec.frame_metric])
+    # Every closed-form call hands out these arrays themselves.
+    omega.flags.writeable = curvature.flags.writeable = False
     chart_model = ManifoldModel(
         name=f"{name} (log chart)",
         dim=dim,

@@ -59,7 +59,8 @@ def test_criterion_2_curvature_signs():
                      for p in im.random_points(50, seed=101))
     chaotic_dev = max(abs(curvature(cm, p, use_closed_form=False).scalar + 1.0)
                       for p in cm.random_points(50, seed=102))
-    sign = scalar_sign_classification(cm, cm.random_points(50, seed=103))
+    sign = scalar_sign_classification(
+        [curvature(cm, p) for p in cm.random_points(50, seed=103)])
     elapsed = time.time() - t0
     ok = (flat_worst < 1e-6 and chaotic_dev < 1e-4
           and sign.classification == "negative" and elapsed < 30.0)

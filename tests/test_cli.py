@@ -88,6 +88,21 @@ def test_curvature_chaotic_negative(tmp_path):
     assert rep["scalar_max"] == pytest.approx(-1.0, abs=1e-4)
 
 
+def test_curvature_computes_each_point_once(tmp_path, monkeypatch):
+    from igac import geometry
+    calls = [0]
+    original = geometry.curvature
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "curvature", counted)
+    assert main(["curvature", "--manifold", "chaotic", "--sample", "50",
+                 "--out", str(tmp_path / "c")]) == 0
+    assert calls[0] == 50
+
+
 def test_geodesic_files_and_summary(tmp_path):
     out = tmp_path / "g"
     rc = main(["geodesic", "--manifold", "integrable", "--tau-max", "2",
@@ -329,6 +344,25 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config):
     assert payload["error"] == "validation"
     assert payload["field"] == next(iter(config))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "--family", "gaussian", "--point", "mu=0,sigma=1"],
+    ["curvature", "--manifold", "gaussian", "--sample", "3"],
+    ["jacobi", "--manifold", "gaussian", "--tau-max", "5"],
+    ["chain", "--n", "10"],
+], ids=lambda argv: argv[0])
+def test_echoed_config_reproduces_the_run_config(tmp_path, argv):
+    # run_config.json holds every key, defaults included; as a config file
+    # on its own it gives back the same run_config.json.
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    echoed = (out / "run_config.json").read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in json.loads(echoed).items()
+                               if k != "command"}))
+    assert main([argv[0], "--config", str(cfg)]) == 0
+    assert (out / "run_config.json").read_bytes() == echoed
 
 
 def test_config_int_for_float_flag_is_accepted(tmp_path):

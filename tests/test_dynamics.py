@@ -143,11 +143,60 @@ def test_any_start_and_direction_in_the_box_completes(data, name, speed):
     assert np.max(np.abs(traj.speed / speed - 1.0)) <= 1e-6
 
 
-def test_step_underflow_raises_singularity():
-    with pytest.raises(SingularityError) as err:
-        integrate_geodesic(gaussian_model(), (0.0, 1.0), (1.0, -0.5), 10.0,
-                           tol=1e-12, min_step=1.0)
-    assert err.value.last_state is not None
+# Gaussian blocks (mu, u = log sigma) of each model's chart; every other
+# chart coordinate is the log-scale coordinate of a flat factor.
+GAUSSIAN_BLOCKS = {"integrable": (), "chaotic": ((1, 2),), "gaussian": ((0, 1),)}
+
+
+def log_cosh(s):
+    return np.logaddexp(s, -s) - math.log(2.0)
+
+
+def exact_chart_flow(x0, w0, tau, blocks):
+    """Chart coordinates of the geodesic from chart point x0 with frame
+    velocity w0, in closed form.  A flat factor's u moves linearly.  On a
+    Gaussian block, e^{-2u} dmu^2 + 2 du^2 with w = (p, q) and p0 != 0, let
+    c = sqrt(p0^2 + 2 q0^2), tanh s0 = -sqrt2 q0 / c (so sinh s0 =
+    -sqrt2 q0 / |p0|), s = s0 + c tau / sqrt2:
+    u = u0 + log cosh s0 - log cosh s and
+    mu = mu0 + sign(p0) sqrt2 e^u0 sinh(s - s0) / cosh s."""
+    x = x0 + np.outer(tau, w0)
+    for i, j in blocks:
+        p0, q0 = w0[i], w0[j]
+        c = math.hypot(p0, SQRT2 * q0)
+        s0 = math.asinh(-SQRT2 * q0 / abs(p0))
+        s = s0 + c * tau / SQRT2
+        x[:, j] = x0[j] + log_cosh(s0) - log_cosh(s)
+        x[:, i] = x0[i] + (math.copysign(SQRT2 * math.exp(x0[j]), p0)
+                           * np.sinh(s - s0) / np.cosh(s))
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(tuple(GAUSSIAN_BLOCKS)),
+       speed=st.floats(0.1, 45.0))
+def test_geodesics_follow_the_exact_flow(data, name, speed):
+    tol = 1e-8
+    mdl = model(name)
+    chart = mdl.chart
+    blocks = GAUSSIAN_BLOCKS[name]
+    x0 = np.array(data.draw(st.tuples(*(st.floats(-5.0, 5.0),) * mdl.dim)))
+    d = np.array(data.draw(st.tuples(*(st.floats(-1.0, 1.0),) * mdl.dim)))
+    for i, _ in blocks:
+        d[i] = math.copysign(max(abs(d[i]), 1e-2), d[i])  # p0 != 0
+    if not chart.norms(d) > 1e-3:
+        d = np.eye(mdl.dim)[0]
+    w0 = speed * d / chart.norms(d)
+    traj = integrate_geodesic(mdl, chart.from_chart(x0),
+                              chart.theta_lengths(x0) * w0, 10.0, tol=tol,
+                              samples=64)
+    exact = exact_chart_flow(x0, w0, traj.tau_grid, blocks)
+    # u relative to max(1, |u|); mu relative to its block's start scale e^u0.
+    scale = np.maximum(1.0, np.abs(exact))
+    for i, j in blocks:
+        scale[:, i] = np.maximum(np.abs(exact[:, i]), math.exp(x0[j]))
+    err = np.abs(traj.chart_coords - exact) / scale
+    assert np.max(err) <= 1e3 * tol, (name, x0, w0, np.max(err, axis=0))
 
 
 def test_geodesic_validation():
@@ -257,7 +306,8 @@ def test_lambda_j_window_validation():
 @pytest.mark.parametrize("name", ["chaotic", "gaussian"])
 def test_solver_statistics_count_every_right_hand_side(monkeypatch, name, closed):
     # Each right-hand-side evaluation makes exactly one call through the
-    # christoffel name bound in igac.dynamics, on both paths.
+    # christoffel name bound in igac.dynamics, on the geodesic and on both
+    # deviation paths.
     import igac.dynamics as dyn
     calls = [0]
     original = dyn.christoffel
@@ -270,8 +320,7 @@ def test_solver_statistics_count_every_right_hand_side(monkeypatch, name, closed
     mdl = model(name)
     theta0 = mdl.random_points(1, seed=43)[0]
     v0 = np.linspace(0.3, -0.4, mdl.dim)
-    base = integrate_geodesic(mdl, theta0, v0, 5.0, samples=64,
-                              use_closed_form=closed)
+    base = integrate_geodesic(mdl, theta0, v0, 5.0, samples=64)
     geo_calls = calls[0]
     traj = integrate_jacobi(mdl, base, np.zeros(mdl.dim), np.ones(mdl.dim),
                             use_closed_form=closed)
@@ -320,18 +369,22 @@ def walled_chart(wall):
                                      np.zeros((2, 2)), np.ones(2)))
 
 
+def test_geodesic_stage_outside_the_chart_rejects_the_step():
+    # The chart's domain ends at x0 = 1, which x0 = tau reaches at tau = 1.
+    with pytest.raises(SingularityError) as err:
+        integrate_geodesic(walled_chart("domain"), (0.0, 0.0), (1.0, 0.0), 3.0,
+                           samples=16)
+    assert err.value.last_state[0] <= 1.0
+
+
 @pytest.mark.parametrize("wall", ["singular", "inf", "nan", "domain"])
 def test_finite_differences_reject_steps_into_a_bad_stencil(wall):
-    # x0 = tau reaches the wall at tau = 1: every stage whose stencil
-    # crosses it is rejected, and the run ends in SingularityError before
-    # it, on the geodesic and on the deviation right-hand side alike.
+    # x0 = tau reaches the wall at tau = 1: every stage of the deviation
+    # right-hand side whose stencil crosses it is rejected, and the run
+    # ends in SingularityError before it.
     mdl = walled_chart(wall)
     base = integrate_geodesic(walled_chart("none"), (0.0, 0.0), (1.0, 0.0),
                               3.0, samples=16)
-    with pytest.raises(SingularityError) as err:
-        integrate_geodesic(mdl, (0.0, 0.0), (1.0, 0.0), 3.0, samples=16,
-                           use_closed_form=False)
-    assert err.value.last_state[0] <= 1.0
     with pytest.raises(SingularityError) as err:
         integrate_jacobi(mdl, base, (0.0, 0.0), (0.0, 1.0),
                          use_closed_form=False)

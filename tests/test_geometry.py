@@ -132,14 +132,16 @@ def test_chaotic_ricci_product_structure():
 
 
 def test_scalar_sign_classification():
+    def classify(mdl, count, seed):
+        return scalar_sign_classification(
+            [curvature(mdl, p) for p in mdl.random_points(count, seed)])
+
     cm, im, em = chaotic_model(), integrable_model(), euclidean_model(2)
-    assert scalar_sign_classification(
-        cm, cm.random_points(50, seed=37)).classification == "negative"
-    rep = scalar_sign_classification(im, im.random_points(50, seed=38))
+    assert classify(cm, 50, seed=37).classification == "negative"
+    rep = classify(im, 50, seed=38)
     assert rep.classification == "non-negative"
     assert abs(rep.scalar_min) < 1e-6 and abs(rep.scalar_max) < 1e-6
-    assert scalar_sign_classification(
-        em, em.random_points(10, seed=39)).classification == "non-negative"
+    assert classify(em, 10, seed=39).classification == "non-negative"
 
 
 def test_fd_step_boundary_guard():
@@ -215,8 +217,20 @@ def test_stacked_chart_pass_is_bitwise_the_separate_passes(name, data):
                   for log, (lo, hi) in zip(chart.log_scale, mdl.sample_box)])
     gam, riem = separate_passes(chart.model, x, DEFAULT_FD_STEP)
     omega, curv = _frame_tensors(chart, use_closed_form=False)(x)
-    assert bitwise_equal(omega, chart.frame_connection(x, gam))
-    assert bitwise_equal(curv, chart.frame_tensors(x, gam, riem)[1])
+    expected = chart.frame_tensors(x, gam, riem)
+    assert bitwise_equal(omega, expected[0])
+    assert bitwise_equal(curv, expected[1])
+
+
+def test_chart_frame_forms_are_read_only():
+    # Every closed-form call hands out the chart's own arrays, so a write
+    # into one would change every later geodesic on the model.
+    cm = gaussian_model().chart.model
+    x = np.zeros(2)
+    with pytest.raises(ValueError):
+        christoffel(cm, x)[1, 0, 0] = 7.0
+    with pytest.raises(ValueError):
+        riemann(cm, x)[1, 0, 1, 0] = 7.0
 
 
 def test_christoffel_on_a_stack_of_points():
