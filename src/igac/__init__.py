@@ -28,10 +28,11 @@ from .dynamics import (GeodesicTrajectory, LambdaEstimate, SolverStats,
 from .ige import (FitReport, GrowthFit, IGESeries, RateComparison,
                   compare_rates, fit_growth, volume_series)
 from .spinchain import (ChainSpec, HistogramData, LsdResult, SpacingRatio,
-                        SpectrumRecord, analyze_chain, build_hamiltonian,
-                        diagonalize, ks_distance, lsd_verdict, max_spins,
-                        mean_spacing_ratio, poisson_spacing_cdf,
-                        poisson_spacing_pdf, spacing_histogram, unfold,
-                        wigner_spacing_cdf, wigner_spacing_pdf)
+                        SpectrumRecord, Unfolding, analyze_chain,
+                        build_hamiltonian, diagonalize, ks_distance,
+                        lsd_verdict, max_spins, mean_spacing_ratio,
+                        poisson_spacing_cdf, poisson_spacing_pdf,
+                        spacing_histogram, unfold, wigner_spacing_cdf,
+                        wigner_spacing_pdf)
 
 __version__ = "0.1.0"

@@ -464,7 +464,10 @@ def cmd_chain(cfg: dict) -> int:
         "levels": int(len(record.eigenvalues)),
         "spacing_count": int(len(record.unfolded_spacings)),
         "ks_poisson": record.ks_poisson, "ks_wigner": record.ks_wigner,
-        "verdict": record.verdict, "r_mean": record.r_mean})
+        "verdict": record.verdict, "r_mean": record.r_mean,
+        "diagnostics": {"block_dims": list(record.block_dims),
+                        "unfold_condition": record.unfold_condition,
+                        "trimmed_levels": record.trimmed_levels}})
     if cfg["plot"]:
         hist = spinchain.spacing_histogram(record.unfolded_spacings,
                                            int(cfg["bins"]))

@@ -38,6 +38,13 @@ reflection-orbit representatives: every bond and h_x flip of a
 representative is mapped to the representative of its image, with the
 parity sign and the orbit normalisation, so a parity sector never forms
 the 2^n-dimensional H or a projection onto the sector.
+
+At h_x = 0, H' also commutes with the spin-flip parity P = prod_j sz_j:
+each bond flips two spins, sz is diagonal and the reflection keeps the
+popcount.  Every sector then splits into the states of even and of odd
+popcount, and ``analyze_chain`` builds and diagonalizes the two blocks
+on their own (each about 1/8 of the sector's O(d^3) eigensolve).  The
+spectrum under analysis is their merged union, the sector's spectrum.
 """
 
 from __future__ import annotations
@@ -93,7 +100,8 @@ def _reverse_bits(states: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _sector_matrix(n: int, h_x: float, h_y: float, sector: str) -> np.ndarray:
+def _sector_matrix(n: int, h_x: float, h_y: float, sector: str,
+                   flip_parity: int | None = None) -> np.ndarray:
     """Dense H' (see the module docstring) in one sector's basis.
 
     The basis holds one state per reflection orbit {s, R s}, labelled by
@@ -102,21 +110,26 @@ def _sector_matrix(n: int, h_x: float, h_y: float, sector: str) -> np.ndarray:
     the full sector takes R as the identity.  A flip of r with amplitude
     a lands on s, whose representative r' gets a sigma sqrt(g_r / g_r'),
     with g the orbit size (1 or 2) and sigma = p when s = R r', else 1
-    (Sandvik, arXiv:1101.3281).
+    (Sandvik, arXiv:1101.3281).  With ``flip_parity`` 0 or 1 the basis
+    keeps only the representatives of that popcount parity: the block of
+    the spin-flip parity P, exact only when h_x = 0.
     """
     states = np.arange(1 << n, dtype=np.int64)
     partner = states if sector == "full" else _reverse_bits(states, n)
     parity = -1.0 if sector == "reflection_odd" else 1.0
     reps = states[states < partner if parity < 0 else states <= partner]
-    index = np.full(len(states), -1, dtype=np.int64)
-    index[reps] = np.arange(len(reps))
-    orbit = np.where(partner == states, 1.0, 2.0)
     # One product per state, not a per-site sum: h_y sz depends only on the
     # popcount, so it is exactly reflection-invariant and exactly opposite
     # for complementary states.
     popcount = np.zeros_like(reps)
     for j in range(n):
         popcount += (reps >> j) & 1
+    if flip_parity is not None:
+        keep = (popcount & 1) == flip_parity
+        reps, popcount = reps[keep], popcount[keep]
+    index = np.full(len(states), -1, dtype=np.int64)
+    index[reps] = np.arange(len(reps))
+    orbit = np.where(partner == states, 1.0, 2.0)
     h = np.zeros((len(reps), len(reps)))
     np.fill_diagonal(h, h_y * (n - 2 * popcount).astype(float))
     # Off-diagonal terms: the sx sx bonds (coupling 1), then the h_x flips.
@@ -125,7 +138,9 @@ def _sector_matrix(n: int, h_x: float, h_y: float, sector: str) -> np.ndarray:
         masks, amps = masks + [1 << j for j in range(n)], amps + [h_x] * n
     images = reps[:, None] ^ np.array(masks, dtype=np.int64)
     image_reps = np.minimum(images, partner[images])
-    rows = index[image_reps]  # -1: a palindrome, absent from the odd sector
+    # -1: a palindrome, absent from the odd sector.  No flip leaves a P
+    # block, which is built only at h_x = 0.
+    rows = index[image_reps]
     cols = np.broadcast_to(index[reps][:, None], rows.shape)
     values = (np.array(amps) * np.where(images == image_reps, 1.0, parity)
               * np.sqrt(orbit[reps][:, None] / orbit[image_reps]))
@@ -139,12 +154,21 @@ def _sector_matrix(n: int, h_x: float, h_y: float, sector: str) -> np.ndarray:
     return h
 
 
-def _sector_dim(n: int, sector: str) -> int:
-    """Dimension of a symmetry sector of the n-spin chain."""
+def _sector_dim(n: int, sector: str, flip_parity: int | None = None) -> int:
+    """Dimension of a symmetry sector of the n-spin chain, or of its block
+    of one popcount parity (see ``_sector_matrix``)."""
     dim = 1 << n
+    palindromes = 1 << ((n + 1) // 2)
+    if flip_parity is not None:
+        # Half the states have either parity.  A palindrome's popcount is
+        # twice its left half's plus, for odd n, its middle bit.
+        dim //= 2
+        if n % 2:
+            palindromes //= 2
+        elif flip_parity:
+            palindromes = 0
     if sector == "full":
         return dim
-    palindromes = 1 << ((n + 1) // 2)
     if sector == "reflection_even":
         return (dim + palindromes) // 2
     return (dim - palindromes) // 2
@@ -158,26 +182,34 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
-def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense real symmetric Hamiltonian in the requested sector basis.
-
-    Raises ResourceError when n exceeds the configured ceiling or when the
-    dense matrix and the eigensolver's copy of it (2 d^2 float64 values)
-    would not fit in physical memory.
-    """
+def _check_resources(spec: ChainSpec,
+                     flip_parities: tuple = (None,)) -> None:
+    """Raise ResourceError when n exceeds the configured ceiling or when
+    the largest of the given blocks (see ``_sector_dim``), d x d, and the
+    eigensolver's copy of it (2 d^2 float64 values) would not fit in
+    physical memory."""
     ceiling = max_spins()
     if spec.n > ceiling:
         raise ResourceError(
             f"n={spec.n} exceeds the configured maximum {ceiling} "
             f"(set {MAX_SPINS_ENV} to override)")
-    d = _sector_dim(spec.n, spec.sector)
+    d = max(_sector_dim(spec.n, spec.sector, b) for b in flip_parities)
     needed = 2 * d * d * np.dtype(float).itemsize
     available = _physical_memory_bytes()
     if available is not None and needed > available:
         raise ResourceError(
-            f"n={spec.n} {spec.sector}: a dense sector matrix of d={d} needs "
+            f"n={spec.n} {spec.sector}: a dense matrix of d={d} needs "
             f"{needed / 1e9:.2f} GB with the eigensolver's copy, more than the "
             f"{available / 1e9:.2f} GB of physical memory")
+
+
+def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """Dense real symmetric Hamiltonian in the requested sector basis.
+
+    Raises ResourceError when n exceeds the configured ceiling or when the
+    whole sector matrix would not fit in memory (``_check_resources``).
+    """
+    _check_resources(spec)
     return _sector_matrix(spec.n, spec.h_x, spec.h_y, spec.sector)
 
 
@@ -203,8 +235,21 @@ def diagonalize(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
+@dataclass(frozen=True)
+class Unfolding:
+    """Unit-mean spacings of a staircase unfolding and its diagnostics.
+
+    ``condition`` is the condition number of the fit's Vandermonde matrix;
+    ``trimmed`` counts the levels dropped at the two spectral edges.
+    """
+
+    spacings: np.ndarray
+    condition: float
+    trimmed: int
+
+
 def unfold(eigenvalues: np.ndarray, poly_degree: int = 7,
-           trim_fraction: float = 0.1) -> np.ndarray:
+           trim_fraction: float = 0.1) -> Unfolding:
     """Unit-mean spacings from a spectrum via staircase unfolding.
 
     Fits the cumulative staircase N(E) with a polynomial on a scaled
@@ -241,7 +286,7 @@ def unfold(eigenvalues: np.ndarray, poly_degree: int = 7,
     mean = float(spacings.mean())
     if mean <= 0.0:
         raise FitError("unfolded spacings have nonpositive mean; fit unusable")
-    return spacings / mean
+    return Unfolding(spacings / mean, cond, 2 * k)
 
 
 _UNIT_MEAN = (1.0,)
@@ -384,16 +429,38 @@ class SpectrumRecord:
     ks_wigner: float
     verdict: str
     r_mean: float  # mean_spacing_ratio of the eigenvalues, reported only
+    block_dims: tuple[int, ...]  # the blocks diagonalized, in order
+    unfold_condition: float  # the unfolding's Unfolding.condition
+    trimmed_levels: int  # and its Unfolding.trimmed
+
+
+def _sector_spectrum(spec: ChainSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Ascending spectrum of a sector and the dimensions of its blocks.
+
+    At h_x = 0 the even- and odd-popcount blocks of the spin-flip parity P
+    are built and diagonalized one after the other, and their spectra
+    merged; otherwise the one block is the whole sector matrix, bitwise
+    ``build_hamiltonian(spec)``.  Raises ResourceError as
+    ``build_hamiltonian`` does, but for the largest block.
+    """
+    flip_parities = (0, 1) if spec.h_x == 0.0 else (None,)
+    _check_resources(spec, flip_parities)
+    dims = tuple(_sector_dim(spec.n, spec.sector, b) for b in flip_parities)
+    parts = [diagonalize(_sector_matrix(spec.n, spec.h_x, spec.h_y,
+                                        spec.sector, b))
+             for b in flip_parities]
+    return np.sort(np.concatenate(parts)), dims
 
 
 def analyze_chain(spec: ChainSpec, poly_degree: int = 7,
                   trim_fraction: float = 0.1,
                   margin: float = 0.01) -> SpectrumRecord:
     """Build, diagonalize, unfold and classify a chain in one pass."""
-    h = build_hamiltonian(spec)
-    ev = diagonalize(h)
-    spacings = unfold(ev, poly_degree=poly_degree, trim_fraction=trim_fraction)
-    result = lsd_verdict(spacings, margin=margin)
-    return SpectrumRecord(spec, ev, spacings, result.ks_poisson,
+    ev, block_dims = _sector_spectrum(spec)
+    unfolding = unfold(ev, poly_degree=poly_degree,
+                       trim_fraction=trim_fraction)
+    result = lsd_verdict(unfolding.spacings, margin=margin)
+    return SpectrumRecord(spec, ev, unfolding.spacings, result.ks_poisson,
                           result.ks_wigner, result.verdict,
-                          mean_spacing_ratio(ev).mean)
+                          mean_spacing_ratio(ev).mean, block_dims,
+                          unfolding.condition, unfolding.trimmed)

@@ -184,6 +184,75 @@ def test_orbit_build_matches_projection_oracle(n, h_x, h_y, sector):
         assert np.max(np.abs(h - oracle)) <= 1e-12
 
 
+def free_fermion_levels(n, h_y):
+    """Reference oracle: the open chain at h_x = 0 is the transverse-field
+    Ising chain, free fermions after Jordan-Wigner (Lieb, Schultz & Mattis
+    1961; Pfeuty 1970).  Its 2^n levels are all sums of +-s_k, with s_k the
+    singular values of the bidiagonal matrix with h_y on the diagonal and 1
+    above it."""
+    b = np.diag(np.full(n, float(h_y))) + np.diag(np.ones(n - 1), 1)
+    levels = np.zeros(1)
+    for s_k in np.linalg.svd(b, compute_uv=False):
+        levels = np.concatenate([levels - s_k, levels + s_k])
+    return np.sort(levels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10), h_y=FIELD)
+@example(n=10, h_y=0.7)
+def test_zero_hx_chain_matches_free_fermions(n, h_y):
+    spec = ChainSpec(n, 0.0, h_y, sector="full")
+    oracle = free_fermion_levels(n, h_y)
+    whole = diagonalize(build_hamiltonian(spec))
+    split, dims = spinchain._sector_spectrum(spec)
+    assert dims == (1 << (n - 1),) * 2
+    assert np.max(np.abs(whole - oracle)) < 1e-12
+    assert np.max(np.abs(split - oracle)) < 1e-12
+
+
+def flip_block_indices(n, sector):
+    """Reference: positions of the even- and odd-popcount states among a
+    sector's orbit representatives, in the build's ascending order."""
+    states = np.arange(1 << n, dtype=np.int64)
+    partner = states if sector == "full" else spinchain._reverse_bits(states, n)
+    reps = states[(states < partner) if sector == "reflection_odd"
+                  else (states <= partner)]
+    odd = np.array([bin(int(r)).count("1") % 2 for r in reps], dtype=int)
+    return [np.flatnonzero(odd == b) for b in (0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10), h_y=FIELD, sector=st.sampled_from(SECTORS))
+@example(n=1, h_y=1.0, sector="reflection_odd")  # empty sector and blocks
+def test_zero_hx_sector_splits_into_flip_parity_blocks(n, h_y, sector):
+    spec = ChainSpec(n, 0.0, h_y, sector=sector)
+    h = build_hamiltonian(spec)
+    idx = flip_block_indices(n, sector)
+    for b, keep in enumerate(idx):
+        block = spinchain._sector_matrix(n, 0.0, h_y, sector, b)
+        assert block.shape == (len(keep), len(keep))
+        assert block.tobytes() == h[np.ix_(keep, keep)].tobytes()
+        assert spinchain._sector_dim(n, sector, b) == len(keep)
+    assert np.all(h[np.ix_(idx[0], idx[1])] == 0.0)
+    assert len(idx[0]) + len(idx[1]) == spinchain._sector_dim(n, sector)
+    split, dims = spinchain._sector_spectrum(spec)
+    assert dims == (len(idx[0]), len(idx[1]))
+    whole = diagonalize(h)
+    assert split.shape == whole.shape
+    if whole.size:
+        assert np.max(np.abs(split - whole)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 9), h_x=FIELD.filter(lambda v: v != 0),
+       h_y=FIELD, sector=st.sampled_from(SECTORS))
+def test_nonzero_hx_sector_is_one_block(n, h_x, h_y, sector):
+    spec = ChainSpec(n, h_x, h_y, sector=sector)
+    split, dims = spinchain._sector_spectrum(spec)
+    assert dims == (spinchain._sector_dim(n, sector),)
+    assert split.tobytes() == diagonalize(build_hamiltonian(spec)).tobytes()
+
+
 def test_single_spin_tilted_field():
     ev = spectrum(1, 1.0, 1.0)
     np.testing.assert_allclose(ev, [-math.sqrt(2.0), math.sqrt(2.0)], atol=1e-12)
@@ -299,6 +368,16 @@ def test_resource_guard_on_memory(monkeypatch):
     assert build_hamiltonian(ChainSpec(8, 1.0, 1.0)).shape == (136, 136)
     with pytest.raises(ResourceError, match=r"d=256 .*GB"):
         build_hamiltonian(ChainSpec(8, 1.0, 1.0, sector="full"))
+    # At h_x = 0 analyze_chain builds only the two d = 128 flip-parity
+    # blocks (0.26 MB each); the whole sector still does not fit.
+    rec = analyze_chain(ChainSpec(8, 0.0, 2.0, sector="full"))
+    assert rec.block_dims == (128, 128) and len(rec.eigenvalues) == 256
+    for spec in (ChainSpec(8, 0.0, 2.0, sector="full"),
+                 ChainSpec(8, 1.0, 1.0, sector="full")):
+        with pytest.raises(ResourceError, match=r"d=256 .*GB"):
+            build_hamiltonian(spec)
+    with pytest.raises(ResourceError, match=r"d=256 .*GB"):
+        analyze_chain(ChainSpec(8, 1.0, 1.0, sector="full"))
     monkeypatch.setattr(spinchain, "_physical_memory_bytes", lambda: None)
     assert build_hamiltonian(ChainSpec(8, 1.0, 1.0, sector="full")).shape \
         == (256, 256)
@@ -312,16 +391,18 @@ def test_chain_spec_validation():
 
 
 def test_unfold_picket_fence():
-    spacings = unfold(np.arange(500, dtype=float), poly_degree=7,
+    unfolded = unfold(np.arange(500, dtype=float), poly_degree=7,
                       trim_fraction=0.1)
-    np.testing.assert_allclose(spacings, 1.0, atol=1e-6)
-    # count contract: levels - 2*trimmed - 1
-    assert len(spacings) == 500 - 2 * 50 - 1
+    np.testing.assert_allclose(unfolded.spacings, 1.0, atol=1e-6)
+    # count contract: levels - trimmed - 1, with 50 trimmed at each edge
+    assert unfolded.trimmed == 2 * 50
+    assert len(unfolded.spacings) == 500 - 2 * 50 - 1
+    assert 1.0 < unfolded.condition < 1e8
 
 
 def test_unfold_mean_is_one():
     ev = spectrum(10, 1.0, 1.0, "reflection_even")
-    spacings = unfold(ev)
+    spacings = unfold(ev).spacings
     assert abs(spacings.mean() - 1.0) < 0.05
     assert np.all(spacings > -1e-9)
 
@@ -337,13 +418,13 @@ def test_unfold_validation():
 
 def test_unfold_poisson_synthetic():
     levels = sample_poisson_levels(10_000, seed=42)
-    spacings = unfold(levels, poly_degree=7, trim_fraction=0.1)
+    spacings = unfold(levels, poly_degree=7, trim_fraction=0.1).spacings
     assert ks_distance(spacings, poisson_spacing_cdf) < 0.02
 
 
 def test_unfold_wigner_synthetic():
     levels = sample_wigner_levels(10_000, seed=43)
-    spacings = unfold(levels, poly_degree=7, trim_fraction=0.1)
+    spacings = unfold(levels, poly_degree=7, trim_fraction=0.1).spacings
     ks_w = ks_distance(spacings, wigner_spacing_cdf)
     ks_p = ks_distance(spacings, poisson_spacing_cdf)
     assert ks_w < ks_p
@@ -411,11 +492,20 @@ def test_spacing_histogram_validation():
 
 
 def test_analyze_chain_round_trip():
-    rec = analyze_chain(ChainSpec(10, 1.0, 1.0, sector="reflection_even"))
+    spec = ChainSpec(10, 1.0, 1.0, sector="reflection_even")
+    rec = analyze_chain(spec)
     assert rec.verdict == "wigner_like"
     assert rec.ks_wigner < rec.ks_poisson
     assert len(rec.eigenvalues) == (2 ** 10 + 2 ** 5) // 2
     assert abs(rec.unfolded_spacings.mean() - 1.0) < 0.05
+    # One block at h_x != 0: bitwise the whole sector's spectrum.
+    assert rec.block_dims == (528,)
+    assert rec.eigenvalues.tobytes() == spectrum(10, 1.0, 1.0,
+                                                 spec.sector).tobytes()
+    unfolded = unfold(rec.eigenvalues)
+    assert rec.unfold_condition == unfolded.condition
+    assert rec.trimmed_levels == unfolded.trimmed == 104
+    assert rec.unfolded_spacings.tobytes() == unfolded.spacings.tobytes()
 
 
 def test_level_repulsion_small_spacing_suppression():
