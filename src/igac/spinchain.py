@@ -429,9 +429,9 @@ class SpectrumRecord:
     ks_wigner: float
     verdict: str
     r_mean: float  # mean_spacing_ratio of the eigenvalues, reported only
-    block_dims: tuple[int, ...]  # the blocks diagonalized, in order
-    unfold_condition: float  # the unfolding's Unfolding.condition
-    trimmed_levels: int  # and its Unfolding.trimmed
+    block_dims: tuple[int, ...]  # dimensions of the blocks diagonalized
+    unfold_condition: float  # Unfolding.condition of the staircase fit
+    trimmed_levels: int  # Unfolding.trimmed
 
 
 def _sector_spectrum(spec: ChainSpec) -> tuple[np.ndarray, tuple[int, ...]]:
