@@ -67,15 +67,22 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_table(path_base: Path, fmt: str, columns: list[str],
-                rows: list[list]) -> Path:
-    """Write tabular data as CSV (17 significant digits) or JSON rows."""
+                rows: list[list] | np.ndarray) -> Path:
+    """Write tabular data as CSV (17 significant digits) or JSON rows.
+    ``rows`` is a list of rows or a 2-d float array, whose CSV lines are
+    formatted straight from its values."""
     if fmt == "csv":
         path = path_base.with_suffix(".csv")
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["{:.17g}"] * rows.shape[1])
+            lines.extend(line.format(*row) for row in rows.tolist())
+        else:
+            lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         _write_text(path, "\n".join(lines) + "\n")
     else:
         path = path_base.with_suffix(".json")
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
         write_json(path, {"columns": columns,
                           "rows": [[None if (isinstance(v, float) and not
                                              math.isfinite(v)) else
@@ -359,14 +366,10 @@ def _trajectory_rows(mdl, traj, with_jacobi: bool):
     if with_jacobi:
         columns += [f"J_{c} (coordinate units)" for c in mdl.coord_names]
         columns += ["J_norm (g-norm)"]
-    rows = []
-    for i, tau in enumerate(traj.tau_grid):
-        row = [tau] + list(traj.coords[i]) + list(traj.velocity[i])
-        row.append(traj.speed[i])
-        if with_jacobi:
-            row += list(traj.jacobi[i]) + [traj.jacobi_norm[i]]
-        rows.append(row)
-    return columns, rows
+    table = [traj.tau_grid, traj.coords, traj.velocity, traj.speed]
+    if with_jacobi:
+        table += [traj.jacobi, traj.jacobi_norm]
+    return columns, np.column_stack(table)
 
 
 def cmd_geodesic(cfg: dict) -> int:
@@ -426,9 +429,8 @@ def cmd_ige(cfg: dict) -> int:
     out = _out_dir(cfg)
     columns = ["tau (dimensionless)", "volume (statistical weight)",
                "entropy (nats)"]
-    rows = [[t, v, s] for t, v, s in zip(series.tau_samples, series.volume,
-                                         series.entropy)]
-    write_table(out / "ige_series", cfg["format"], columns, rows)
+    write_table(out / "ige_series", cfg["format"], columns, np.column_stack(
+        [series.tau_samples, series.volume, series.entropy]))
     write_json(out / "ige.json", {
         "kind": "ige_fit", "manifold": mdl.name, **fit.to_dict(),
         "boundary_event": None})

@@ -31,6 +31,7 @@ the chart's closed-form connection.  The deviation equation can also take
 omega and R by finite differences, as a check on the closed forms: each
 right-hand side then makes one stacked pass over the curvature stencil of
 x (one ``christoffel`` call on a stack of points), which yields both.
+The closed forms are the chart's constant omega and R, used directly.
 Each trajectory carries the walk's statistics (``SolverStats``).
 """
 from __future__ import annotations
@@ -42,12 +43,11 @@ import numpy as np
 
 from .errors import (DomainError, InapplicableError, InsufficientDataError,
                      InversionError, ShapeError, SingularityError)
-from .geometry import (christoffel, curvature_stencil, riemann,
-                       riemann_from_stencil)
+from .geometry import christoffel, curvature_stencil, riemann_from_stencil
 from .manifold import Chart, ManifoldModel
 
 # Dormand-Prince 5(4) tableau; the fifth-order row propagates.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -153,25 +153,26 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float
     h = 1e-2 * span
     floor = 1e-14 * max(1.0, span)
     ks = np.empty((7, y.size))
+    stages = [(s, _A[s], ks[:s], _C[s]) for s in range(1, 7)]  # ks[:s] a view
     ks[0] = rhs(tau, y)
     filled, calls, accepted, rejected, smallest = 1, 1, 0, 0, math.inf
     while filled < len(grid):
         last = h >= end - tau
         if last:
             h = end - tau
-        for s in range(1, 7):
-            ys = y + h * (_A[s] @ ks[:s])
-            ks[s] = rhs(tau + _C[s] * h, ys)
+        for s, a, earlier, c in stages:
+            ys = y + h * (a @ earlier)
+            ks[s] = rhs(tau + c * h, ys)
         calls += 6
         # The last stage's state is the fifth-order solution.
         err_vec = h * (_ERR @ ks)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(ys))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        err = math.sqrt(float(np.add.reduce(np.square(err_vec / scale))) / y.size)
         if err <= 1.0:
             accepted += 1
             smallest = min(smallest, h)
             stop = (len(grid) if last
-                    else int(np.searchsorted(grid, tau + h, side="right")))
+                    else int(grid.searchsorted(tau + h, side="right")))
             if stop > filled:
                 out[filled:stop] = _dense(y, ys, ks, h, (grid[filled:stop] - tau) / h)
                 filled = stop
@@ -204,19 +205,20 @@ def _frame_tensors(chart: Chart, use_closed_form: bool):
     the curvature, NaN at a stage outside the chart or where the chart
     metric leaves float64's range, which rejects the step.
 
-    Finite differences make one ``christoffel`` call on the curvature
-    stencil of x: one metric call and one batched inverse give the
-    connection at x (row 0) and the curvature from all rows.
+    Closed forms are the chart's constant ones, read once.  Finite
+    differences make one ``christoffel`` call on the curvature stencil of
+    x: one metric call and one batched inverse give the connection at x
+    (row 0) and the curvature from all rows.
     """
     cm = chart.model
     undefined = (np.full((cm.dim,) * 3, np.nan), np.full((cm.dim,) * 4, np.nan))
     if (use_closed_form and cm.christoffel_fn is not None
             and cm.riemann_fn is not None):
+        forms = tuple(np.asarray(form(np.zeros(cm.dim)), dtype=float)
+                      for form in (cm.christoffel_fn, cm.riemann_fn))
+
         def tensors(x, lengths=None):
-            try:
-                return christoffel(cm, x), riemann(cm, x)
-            except (DomainError, InversionError):
-                return undefined
+            return forms if cm._unbounded or cm.contains(x) else undefined
     else:
         def tensors(x, lengths=None):
             points, h = curvature_stencil(cm, x)
@@ -228,6 +230,42 @@ def _frame_tensors(chart: Chart, use_closed_form: bool):
                                        lengths)
 
     return tensors
+
+
+def _geodesic_rhs(chart: Chart):
+    """d(x, w)/dtau on the chart's closed-form connection."""
+    dim = chart.model.dim
+    tensors = _frame_tensors(chart, use_closed_form=True)
+
+    def rhs(tau, y):
+        x, w = y[:dim], y[dim:]
+        dy = np.empty(2 * dim)
+        dy[:dim] = chart.lengths(x) * w
+        dy[dim:] = -(w @ tensors(x)[0]) @ w
+        return dy
+
+    return rhs
+
+
+def _jacobi_rhs(chart: Chart, use_closed_form: bool):
+    """d(x, w, J, K)/dtau with the frame tensors of ``_frame_tensors``."""
+    dim = chart.model.dim
+    tensors = _frame_tensors(chart, use_closed_form)
+
+    def rhs(tau, y):
+        x, w, jac, rate = y[:dim], y[dim:2 * dim], y[2 * dim:3 * dim], y[3 * dim:]
+        e = chart.lengths(x)
+        gam, riem = tensors(x, e)
+        along = w @ gam  # omega^a_bc w^b as the matrix [a, c]
+        drag = -along
+        dy = np.empty(4 * dim)
+        dy[:dim] = e * w
+        dy[dim:2 * dim] = drag @ w
+        dy[2 * dim:3 * dim] = rate - along @ jac
+        dy[3 * dim:] = drag @ rate - ((riem @ w) @ jac) @ w
+        return dy
+
+    return rhs
 
 
 def _result(model: ManifoldModel, chart: Chart, grid: np.ndarray,
@@ -280,21 +318,10 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
         raise DomainError(f"samples must be >= 2, got {samples}",
                           parameter="samples")
     chart = _chart_of(model)
-    dim = model.dim
-    undefined = np.full((dim,) * 3, np.nan)
-
-    def rhs(tau, y):
-        x, w = y[:dim], y[dim:]
-        try:
-            gam = christoffel(chart.model, x)
-        except DomainError:  # a stage outside the chart rejects the step
-            gam = undefined
-        return np.concatenate([chart.lengths(x) * w, -(w @ gam) @ w])
-
     grid = np.linspace(0.0, float(tau_max), int(samples))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        states, solver = _integrate_on_grid(rhs, _chart_state(chart, th0, v0),
-                                            grid, tol)
+        states, solver = _integrate_on_grid(
+            _geodesic_rhs(chart), _chart_state(chart, th0, v0), grid, tol)
         return _result(model, chart, grid, states, solver)
 
 
@@ -317,20 +344,10 @@ def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
     if J0.size != dim or dJ0.size != dim:
         raise ShapeError(f"deviation vectors must have size {dim}")
     chart = _chart_of(model)
-    tensors = _frame_tensors(chart, use_closed_form)
-
-    def rhs(tau, y):
-        x, w, jac, rate = y[:dim], y[dim:2 * dim], y[2 * dim:3 * dim], y[3 * dim:]
-        e = chart.lengths(x)
-        gam, riem = tensors(x, e)
-        along = w @ gam  # omega^a_bc w^b as the matrix [a, c]
-        curv = ((riem @ w) @ jac) @ w
-        return np.concatenate([e * w, -along @ w,
-                               rate - along @ jac, -along @ rate - curv])
-
     y0 = _chart_state(chart, traj.coords[0], traj.velocity[0], J0, dJ0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        states, solver = _integrate_on_grid(rhs, y0, traj.tau_grid, tol)
+        states, solver = _integrate_on_grid(
+            _jacobi_rhs(chart, use_closed_form), y0, traj.tau_grid, tol)
         return _result(model, chart, traj.tau_grid, states, solver)
 
 

@@ -62,7 +62,7 @@ def _fd_christoffel(model: ManifoldModel, points: np.ndarray,
     """Gamma[k, a, b, c] at each row k of ``points`` by central differences."""
     k, dim = points.shape
     h = _steps(model, points, fd_step)
-    if not model.contains(points, margin=float(np.max(h))):
+    if not model.contains(points, margin=float(h.max())):
         for p in points:  # names a coordinate outside the domain, if any
             model.check_point(p)
         raise DomainError(
@@ -89,7 +89,8 @@ def curvature_stencil(model: ManifoldModel, theta: np.ndarray,
     ``riemann_from_stencil``, the curvature there."""
     th = np.asarray(theta, dtype=float)
     h = _steps(model, th, fd_step)
-    return np.concatenate([th[None, :], th + np.diag(h), th - np.diag(h)]), h
+    shifts = np.diag(h)
+    return np.concatenate([th[None, :], th + shifts, th - shifts]), h
 
 
 def riemann_from_stencil(gams: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -99,10 +100,10 @@ def riemann_from_stencil(gams: np.ndarray, h: np.ndarray) -> np.ndarray:
     gam = gams[0]
     # dG[r, a, b, c] = d Gamma^a_{bc} / d theta_r
     dG = (gams[1:dim + 1] - gams[dim + 1:]) / (2.0 * h)[:, None, None, None]
-    term_d = (np.einsum("rmsn->mnrs", dG) - np.einsum("smrn->mnrs", dG))
-    term_q = (np.einsum("mrl,lsn->mnrs", gam, gam)
-              - np.einsum("msl,lrn->mnrs", gam, gam))
-    return term_d + term_q
+    # d_r G^m_sn - d_s G^m_rn + G^m_rl G^l_sn - (the same with r, s swapped)
+    term_d = dG.transpose(1, 3, 0, 2) - dG.transpose(1, 3, 2, 0)
+    quad = np.einsum("mrl,lsn->mnrs", gam, gam)
+    return term_d + (quad - quad.transpose(0, 1, 3, 2))
 
 
 def _fd_tensors(model: ManifoldModel, th: np.ndarray,

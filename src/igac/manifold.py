@@ -70,6 +70,12 @@ class ManifoldModel:
         return box[:, 0], box[:, 1]
 
     @cached_property
+    def _unbounded(self) -> bool:
+        """Whether the domain is all of R^dim, inside which is finite."""
+        lo, hi = self._bounds
+        return bool(np.all(lo == -math.inf) and np.all(hi == math.inf))
+
+    @cached_property
     def _step_scale(self) -> np.ndarray:
         """Per coordinate, 1.0 where finite differences step by
         fd_step * max(1, |theta|) and 0.0 on logarithms (plain fd_step)."""
@@ -101,6 +107,8 @@ class ManifoldModel:
     def contains(self, theta, margin: float = 0.0) -> bool:
         """Whether a point, or every row of a stack of points, is inside."""
         arr = np.asarray(theta, dtype=float)
+        if self._unbounded and arr.shape[-1:] == (self.dim,):
+            return bool(np.isfinite(arr).all())
         return (arr.shape[-1:] == (self.dim,)
                 and np.count_nonzero(self._inside(arr, margin)) == arr.size)
 
@@ -141,7 +149,8 @@ class Chart:
     components, which the finite-difference path differentiates, while
     its ``christoffel_fn`` and ``riemann_fn`` give the closed forms as
     frame components (``frame_tensors`` converts the finite-difference
-    tensors to the same components).
+    tensors to the same components).  The frame forms are constant, so the
+    closed-form right-hand sides read them once per integration.
     The coordinate maps, ``lengths``, ``theta_lengths`` and ``norms`` take
     one point or a stack of points, one per row.
     """
@@ -181,16 +190,17 @@ class Chart:
         ``lengths`` are the frame lengths at x, when the caller has them
         already."""
         e = self.lengths(x) if lengths is None else lengths
-        return self._frame_connection(e, gam), riem * (
-            e[None, :, None, None] * e[None, None, :, None]
-            * e[None, None, None, :] / e[:, None, None, None])
-
-    def _frame_connection(self, e: np.ndarray, gam: np.ndarray) -> np.ndarray:
-        out = gam * (e[None, :, None] * e[None, None, :] / e[:, None, None])
+        pairs = e[:, None] * e  # e_b e_c, and e_n e_r
+        omega = gam * (pairs / e[:, None, None])
         # e_c's length varies along e_b: + delta^a_c e_b d_b log|e_c|.
-        diag = np.arange(len(e))
-        out[diag, :, diag] += self.rates * e[None, :]
-        return out
+        omega.flat[self._a_equals_c] += (self.rates * e).ravel()
+        return omega, riem * (pairs[:, :, None] * e / e[:, None, None, None])
+
+    @cached_property
+    def _a_equals_c(self) -> np.ndarray:
+        """Flat indices of the entries [a, b, a], a and b row-major."""
+        a, b = np.divmod(np.arange(self.rates.size), len(self.rates))
+        return (a * len(self.rates) + b) * len(self.rates) + a
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from igac import (InsufficientDataError, ShapeError, SingularityError,
                   chaotic_model, estimate_lambda_j, euclidean_model,
                   gaussian_model, integrable_model, integrate_geodesic,
                   integrate_jacobi, model, reverse_initial_conditions)
-from igac.dynamics import _integrate_on_grid
+from igac.dynamics import _geodesic_rhs, _integrate_on_grid, _jacobi_rhs
+from igac.geometry import christoffel, riemann
 from igac.manifold import Chart, ManifoldModel
 
 SQRT2 = math.sqrt(2.0)
@@ -199,6 +201,91 @@ def test_geodesics_follow_the_exact_flow(data, name, speed):
     assert np.max(err) <= 1e3 * tol, (name, x0, w0, np.max(err, axis=0))
 
 
+def exact_jacobi_norm(chart, w0, j0, k0, tau, blocks):
+    """g-norm of the deviation field along the exact flow, from frame
+    components J0 = j0 and K0 = k0, and the scale its unstable part reaches
+    from initial data of the same size, to which integration errors grow.
+    In orthonormal components every factor of a product chart splits off:
+    J is affine on a flat factor, and on a Gaussian block (curvature -1/2)
+    J = a T + b N with T = v_G / |v_G| and N normal to it, both parallel,
+    a affine and b = b0 cosh(kappa tau) + b0' sinh(kappa tau) / kappa,
+    kappa = |v_G| / sqrt2."""
+    root = np.sqrt(chart.frame_metric)
+    v, j, k = w0 * root, j0 * root, k0 * root
+    flat = np.ones(len(w0), dtype=bool)
+    squares = np.zeros_like(tau)
+    unstable = np.zeros_like(tau)
+    for block in blocks:
+        block = list(block)
+        flat[block] = False
+        kappa = np.linalg.norm(v[block]) / SQRT2
+        t = v[block] / (SQRT2 * kappa)
+        n = np.array([-t[1], t[0]])
+        along = j[block] @ t + (k[block] @ t) * tau
+        normal = (j[block] @ n * np.cosh(kappa * tau)
+                  + k[block] @ n * np.sinh(kappa * tau) / kappa)
+        squares += along ** 2 + normal ** 2
+        unstable += (np.linalg.norm(j[block]) + np.linalg.norm(k[block]) / kappa
+                     ) * np.cosh(kappa * tau)
+    squares += np.sum((j[flat] + np.outer(tau, k[flat])) ** 2, axis=1)
+    return np.sqrt(squares), unstable
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), name=st.sampled_from(tuple(GAUSSIAN_BLOCKS)),
+       speed=st.floats(0.1, 5.0))
+def test_jacobi_fields_follow_the_exact_flow(data, name, speed):
+    # Errors are taken relative to the larger of |J| and the scale the
+    # unstable part of J reaches: a start with no unstable part (K0 along
+    # v_G, say) still picks up one at the level of the step errors, which
+    # then grows like cosh(kappa tau).
+    tol = 1e-8
+    mdl = model(name)
+    chart = mdl.chart
+    blocks = GAUSSIAN_BLOCKS[name]
+    unit = st.floats(-1.0, 1.0)
+    x0 = data.draw(arrays(np.float64, mdl.dim, elements=st.floats(-5.0, 5.0)))
+    d = data.draw(arrays(np.float64, mdl.dim, elements=unit))
+    for i, j in blocks:  # a moving Gaussian block, so kappa > 0
+        d[i] = math.copysign(max(abs(d[i]), 1e-2), d[i])
+    if not chart.norms(d) > 1e-3:
+        d = np.eye(mdl.dim)[0]
+    w0 = speed * d / chart.norms(d)
+    j0 = data.draw(arrays(np.float64, mdl.dim, elements=unit))
+    k0 = data.draw(arrays(np.float64, mdl.dim, elements=unit))
+    lengths = chart.theta_lengths(x0)
+    base = integrate_geodesic(mdl, chart.from_chart(x0), lengths * w0, 10.0,
+                              tol=tol, samples=64)
+    traj = integrate_jacobi(mdl, base, lengths * j0, lengths * k0, tol=tol)
+    exact, unstable = exact_jacobi_norm(chart, w0, j0, k0, traj.tau_grid, blocks)
+    err = (np.abs(traj.jacobi_norm - exact)
+           / np.maximum(1.0, np.maximum(exact, unstable)))
+    assert np.max(err) <= 1e3 * tol, (name, x0, w0, j0, k0, np.max(err))
+
+
+@pytest.mark.parametrize("name", ["integrable", "chaotic", "gaussian", "euclidean"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_closed_form_right_hand_sides_are_bitwise_the_geometry_calls(name, data):
+    # The right-hand sides read the chart's constant frame forms once; at
+    # any finite state they equal the expressions built from christoffel
+    # and riemann at every stage.
+    chart = model(name).chart
+    cm, dim = chart.model, chart.model.dim
+    y = data.draw(arrays(np.float64, 4 * dim,
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    x, w, jac, rate = y.reshape(4, dim)
+    with np.errstate(all="ignore"):
+        gam, riem = christoffel(cm, x), riemann(cm, x)
+        e = chart.lengths(x)
+        along = w @ gam
+        geodesic = np.concatenate([e * w, -(w @ gam) @ w])
+        jacobi = np.concatenate([e * w, -along @ w, rate - along @ jac,
+                                 -along @ rate - ((riem @ w) @ jac) @ w])
+        assert _geodesic_rhs(chart)(0.0, y[:2 * dim]).tobytes() == geodesic.tobytes()
+        assert _jacobi_rhs(chart, True)(0.0, y).tobytes() == jacobi.tobytes()
+
+
 def test_geodesic_validation():
     from dataclasses import replace
 
@@ -305,30 +392,41 @@ def test_lambda_j_window_validation():
 @pytest.mark.parametrize("closed", [True, False])
 @pytest.mark.parametrize("name", ["chaotic", "gaussian"])
 def test_solver_statistics_count_every_right_hand_side(monkeypatch, name, closed):
-    # Each right-hand-side evaluation makes exactly one call through the
-    # christoffel name bound in igac.dynamics, on the geodesic and on both
-    # deviation paths.
+    # rhs_calls counts every right-hand side the walk evaluates, on the
+    # geodesic and on both deviation paths.  The closed forms make no call
+    # into geometry; each finite-difference right-hand side makes exactly
+    # one call through the christoffel name bound in igac.dynamics.
     import igac.dynamics as dyn
-    calls = [0]
-    original = dyn.christoffel
+    rhs_calls, christoffel_calls = [0], [0]
+    walk, christoffel = dyn._integrate_on_grid, dyn.christoffel
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def counted_walk(rhs, *args):
+        def counted_rhs(tau, y):
+            rhs_calls[0] += 1
+            return rhs(tau, y)
+        return walk(counted_rhs, *args)
 
-    monkeypatch.setattr(dyn, "christoffel", counted)
+    def counted_christoffel(*args, **kwargs):
+        christoffel_calls[0] += 1
+        return christoffel(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "_integrate_on_grid", counted_walk)
+    monkeypatch.setattr(dyn, "christoffel", counted_christoffel)
     mdl = model(name)
     theta0 = mdl.random_points(1, seed=43)[0]
     v0 = np.linspace(0.3, -0.4, mdl.dim)
     base = integrate_geodesic(mdl, theta0, v0, 5.0, samples=64)
-    geo_calls = calls[0]
+    counts = [(base.solver, rhs_calls[0], christoffel_calls[0], 0)]
+    rhs_calls[0] = christoffel_calls[0] = 0
     traj = integrate_jacobi(mdl, base, np.zeros(mdl.dim), np.ones(mdl.dim),
                             use_closed_form=closed)
-    for stats, counted_calls in ((base.solver, geo_calls),
-                                 (traj.solver, calls[0] - geo_calls)):
-        assert stats.rhs_calls == counted_calls
+    counts.append((traj.solver, rhs_calls[0], christoffel_calls[0],
+                   0 if closed else rhs_calls[0]))
+    for stats, counted_rhs, counted_christoffel, expected_christoffel in counts:
+        assert stats.rhs_calls == counted_rhs
         assert stats.rhs_calls == 1 + 6 * (stats.accepted + stats.rejected)
         assert stats.accepted >= 1 and 0.0 < stats.min_step <= 5.0
+        assert counted_christoffel == expected_christoffel
 
 
 def test_solver_statistics_count_rejected_steps():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from igac import (chaotic_model, christoffel, curvature, euclidean_model,
                   family, gaussian_model, integrable_model, model,
@@ -220,6 +221,37 @@ def test_stacked_chart_pass_is_bitwise_the_separate_passes(name, data):
     expected = chart.frame_tensors(x, gam, riem)
     assert bitwise_equal(omega, expected[0])
     assert bitwise_equal(curv, expected[1])
+
+
+@pytest.mark.parametrize("name", CHART_MODELS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stencil_and_frame_assembly_are_bitwise_their_einsum_forms(name, data):
+    # riemann_from_stencil and Chart.frame_tensors against the einsum and
+    # broadcast forms they replace, on arbitrary stencil connections.
+    chart = model(name).chart
+    dim = chart.model.dim
+    entries = st.floats(-1e3, 1e3)
+    gams = data.draw(arrays(np.float64, (2 * dim + 1,) + (dim,) * 3,
+                            elements=entries))
+    h = data.draw(arrays(np.float64, dim, elements=st.floats(1e-6, 1.0)))
+    gam = gams[0]
+    dG = (gams[1:dim + 1] - gams[dim + 1:]) / (2.0 * h)[:, None, None, None]
+    riem = ((np.einsum("rmsn->mnrs", dG) - np.einsum("smrn->mnrs", dG))
+            + (np.einsum("mrl,lsn->mnrs", gam, gam)
+               - np.einsum("msl,lrn->mnrs", gam, gam)))
+    assert bitwise_equal(riemann_from_stencil(gams, h), riem)
+    x = data.draw(arrays(np.float64, dim, elements=st.floats(-300.0, 300.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = chart.lengths(x)
+        omega = gam * (e[None, :, None] * e[None, None, :] / e[:, None, None])
+        diag = np.arange(dim)
+        omega[diag, :, diag] += chart.rates * e[None, :]
+        curv = riem * (e[None, :, None, None] * e[None, None, :, None]
+                       * e[None, None, None, :] / e[:, None, None, None])
+        frame = chart.frame_tensors(x, gam, riem)
+    assert bitwise_equal(frame[0], omega)
+    assert bitwise_equal(frame[1], curv)
 
 
 def test_chart_frame_forms_are_read_only():
