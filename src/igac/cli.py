@@ -49,14 +49,6 @@ CANONICAL_RUNS = {
 }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -68,17 +60,13 @@ def write_json(path: Path, obj) -> None:
 
 def write_table(path_base: Path, fmt: str, columns: list[str],
                 rows: list[list] | np.ndarray) -> Path:
-    """Write tabular data as CSV (17 significant digits) or JSON rows.
-    ``rows`` is a list of rows or a 2-d float array, whose CSV lines are
-    formatted straight from its values."""
+    """Write numeric rows (a list of rows or a 2-d array) as CSV, 17
+    significant digits, or as JSON rows, where integers stay integers."""
     if fmt == "csv":
         path = path_base.with_suffix(".csv")
-        lines = [",".join(columns)]
-        if isinstance(rows, np.ndarray):
-            line = ",".join(["{:.17g}"] * rows.shape[1])
-            lines.extend(line.format(*row) for row in rows.tolist())
-        else:
-            lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        line = ",".join(["{:.17g}"] * len(columns))
+        table = np.asarray(rows, dtype=float).reshape(-1, len(columns))
+        lines = [",".join(columns)] + [line.format(*row) for row in table.tolist()]
         _write_text(path, "\n".join(lines) + "\n")
     else:
         path = path_base.with_suffix(".json")

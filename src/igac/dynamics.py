@@ -218,7 +218,7 @@ def _frame_tensors(chart: Chart, use_closed_form: bool):
                       for form in (cm.christoffel_fn, cm.riemann_fn))
 
         def tensors(x, lengths=None):
-            return forms if cm._unbounded or cm.contains(x) else undefined
+            return forms if cm.contains(x) else undefined
     else:
         def tensors(x, lengths=None):
             points, h = curvature_stencil(cm, x)
