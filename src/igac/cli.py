@@ -315,17 +315,14 @@ def cmd_curvature(cfg: dict) -> int:
         if count < 1:
             raise ValidationError("--sample must be >= 1", field="sample")
         points = list(mdl.random_points(count, int(cfg["seed"])))
-    fd_step = float(cfg["fd_step"])
-    reports = [geometry.curvature(mdl, p, fd_step) for p in points]
+    reports = [geometry.curvature(mdl, p) for p in points]
     sign = geometry.scalar_sign_classification(reports, atol=float(cfg["atol"]))
     out = _out_dir(cfg)
     pairs = list(reports[0].sectional)
     columns = [f"{c} (coordinate units)" for c in mdl.coord_names]
     columns += ["scalar (dimensionless)"]
     columns += [f"sectional_{i}{j} (dimensionless)" for i, j in pairs]
-    columns += ["scalar_fd_consistency (dimensionless)"]
     rows = [list(p) + [r.scalar] + [r.sectional[ij] for ij in pairs]
-            + [r.scalar_consistency]
             for p, r in zip(points, reports)]
     write_table(out / "curvature_points", cfg["format"], columns, rows)
     write_json(out / "curvature.json", {
@@ -563,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", help="comma-separated coordinates")
     p.add_argument("--sample", type=int, default=50,
                    help="random in-domain points (default %(default)s)")
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-4)
     p.add_argument("--atol", type=float, default=1e-5,
                    help="sign-classification tolerance")
 

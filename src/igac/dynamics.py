@@ -27,12 +27,14 @@ first-order covariant form,
 
 with K the covariant rate of J, so flat manifolds give exactly affine
 growth and constant negative curvature gives sinh growth.  Geodesics use
-the chart's closed-form connection.  The deviation equation can also take
-omega and R by finite differences, as a check on the closed forms: each
-right-hand side then makes one stacked pass over the curvature stencil of
-x (one ``christoffel`` call on a stack of points), which yields both.
-The closed forms are the chart's constant omega and R, used directly.
-Each trajectory carries the walk's statistics (``SolverStats``).
+the chart's constant frame connection ``Chart.omega``, and the deviation
+equation also its curvature ``Chart.curvature``, read once per
+integration.  The deviation equation can instead take omega and R by
+finite differences of the chart metric, as a check on the closed forms:
+each right-hand side then makes one stacked pass over the curvature
+stencil of x (one ``christoffel`` call on a stack of points), which
+yields both.  Each trajectory carries the walk's statistics
+(``SolverStats``).
 """
 from __future__ import annotations
 
@@ -205,17 +207,16 @@ def _frame_tensors(chart: Chart, use_closed_form: bool):
     the curvature, NaN at a stage outside the chart or where the chart
     metric leaves float64's range, which rejects the step.
 
-    Closed forms are the chart's constant ones, read once.  Finite
+    Closed forms are the chart's own ``omega`` and ``curvature``.  Finite
     differences make one ``christoffel`` call on the curvature stencil of
-    x: one metric call and one batched inverse give the connection at x
-    (row 0) and the curvature from all rows.
+    x in the chart model, which has the chart metric alone: one metric
+    call and one batched inverse give the connection at x (row 0) and the
+    curvature from all rows.
     """
     cm = chart.model
     undefined = (np.full((cm.dim,) * 3, np.nan), np.full((cm.dim,) * 4, np.nan))
-    if (use_closed_form and cm.christoffel_fn is not None
-            and cm.riemann_fn is not None):
-        forms = tuple(np.asarray(form(np.zeros(cm.dim)), dtype=float)
-                      for form in (cm.christoffel_fn, cm.riemann_fn))
+    if use_closed_form:
+        forms = chart.omega, chart.curvature
 
         def tensors(x, lengths=None):
             return forms if cm.contains(x) else undefined
@@ -223,7 +224,7 @@ def _frame_tensors(chart: Chart, use_closed_form: bool):
         def tensors(x, lengths=None):
             points, h = curvature_stencil(cm, x)
             try:
-                gams = christoffel(cm, points, use_closed_form=False)
+                gams = christoffel(cm, points)
             except (DomainError, InversionError):
                 return undefined
             return chart.frame_tensors(x, gams[0], riemann_from_stencil(gams, h),
@@ -301,7 +302,7 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
     """Integrate the geodesic equation from (theta0, v0) up to tau_max.
 
     The trajectory is recorded on a uniform grid of ``samples`` points,
-    at least two.  The connection is the chart model's closed form.  A
+    at least two.  The connection is the chart's closed form.  A
     step-size underflow raises SingularityError carrying the last valid
     integrator state (chart coordinates and frame components).
     """

@@ -1,11 +1,12 @@
 """Connection and curvature of a manifold by differentiating its metric.
 
-The generic path uses central differences of the metric field; models
-that register closed-form Christoffel/Riemann callables use those both
-as fast paths and as oracles for the finite-difference pipeline.  The
-curvature convention is (R(e_r, e_s) e_n)^m = R^m_{nrs}, under which
-the geodesic-deviation term reads R^m_{nrs} v^n J^r v^s and negative
-sectional curvature means exponential spreading of nearby geodesics.
+A model that carries closed-form Christoffel/Riemann callables is
+evaluated with them; any other, such as every chart model, by central
+differences of its metric field, so finite differences check a model's
+closed forms on a copy without them.  The curvature convention is
+(R(e_r, e_s) e_n)^m = R^m_{nrs}, under which the geodesic-deviation term
+reads R^m_{nrs} v^n J^r v^s and negative sectional curvature means
+exponential spreading of nearby geodesics.
 
 Each finite-difference evaluation is one stacked pass: the points and
 every point's own stencil go to the metric in one call, followed by one
@@ -13,8 +14,8 @@ batched inverse.  The curvature stencil of a point (the point and its
 2*dim shifts) gives the connection there (row 0) and the curvature from
 all rows, so connection and curvature together cost one pass.  Steps
 are fd_step * max(1, |theta|), and plain fd_step on log-scale chart
-coordinates.  Geodesics take the closed-form connection; a
-finite-difference Jacobi right-hand side makes one such pass.
+coordinates.  A finite-difference Jacobi right-hand side makes one such
+pass on the chart model.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ def _inverse_metric(model: ManifoldModel, theta: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def christoffel(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
-                use_closed_form: bool = True) -> np.ndarray:
+def christoffel(model: ManifoldModel, theta,
+                fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Levi-Civita connection Gamma[a, b, c] = Gamma^a_{bc}.
 
     ``theta`` may also be a (k, dim) stack of points, giving Gamma at each
@@ -134,7 +135,7 @@ def christoffel(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
     metric call with one batched inverse.
     """
     arr = np.asarray(theta, dtype=float)
-    closed = use_closed_form and model.christoffel_fn is not None
+    closed = model.christoffel_fn is not None
     if arr.ndim != 2:
         th = model.check_point(arr)
         if closed:
@@ -150,15 +151,15 @@ def christoffel(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
                     dtype=float)
 
 
-def riemann(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
-            use_closed_form: bool = True) -> np.ndarray:
+def riemann(model: ManifoldModel, theta,
+            fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Curvature tensor R[m, n, r, s] = R^m_{nrs}.
 
     Finite differences take the connection on the ``curvature_stencil``
     in one stacked pass and assemble R with ``riemann_from_stencil``.
     """
     th = model.check_point(theta)
-    if use_closed_form and model.riemann_fn is not None:
+    if model.riemann_fn is not None:
         return np.asarray(model.riemann_fn(th), dtype=float)
     return _fd_tensors(model, th, fd_step)[1]
 
@@ -217,8 +218,8 @@ def _assemble(model: ManifoldModel, th: np.ndarray, gam: np.ndarray,
                            fd_step=fd_step, scalar_consistency=consistency)
 
 
-def curvature(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
-              use_closed_form: bool = True) -> CurvatureReport:
+def curvature(model: ManifoldModel, theta,
+              fd_step: float = DEFAULT_FD_STEP) -> CurvatureReport:
     """Full curvature report; finite differences carry a step-halving check.
 
     On the finite-difference path the reported tensors come from the
@@ -226,11 +227,10 @@ def curvature(model: ManifoldModel, theta, fd_step: float = DEFAULT_FD_STEP,
     from one stacked pass.
     """
     th = model.check_point(theta)
-    if use_closed_form and model.riemann_fn is not None:
-        gam = christoffel(model, th, fd_step, use_closed_form=True)
-        riem = riemann(model, th, fd_step, use_closed_form=True)
+    if model.riemann_fn is not None:
+        gam, riem = christoffel(model, th, fd_step), riemann(model, th, fd_step)
         return _assemble(model, th, gam, riem, fd_step, None)
-    coarse = riemann(model, th, fd_step, use_closed_form=False)
+    coarse = riemann(model, th, fd_step)
     half = fd_step / 2.0
     gam, riem = _fd_tensors(model, th, half)
     return _assemble(model, th, gam, riem, half, coarse)

@@ -71,14 +71,14 @@ class FitReport:
                 "n_samples": self.n_samples}
 
 
-@dataclass
+@dataclass(frozen=True)
 class IGESeries:
     """Sampled tau -> (V, S) with the degenerate prefix removed.
 
     ``tau_grid``/``instant_volume`` keep the full trajectory grid; the
     fitted samples keep only points with a positive running volume.
     Volumes are exp of the logarithms the entropy is taken from, so they
-    can read inf.  ``fit`` is attached by :func:`fit_growth`.
+    can read inf.
     """
 
     tau_samples: np.ndarray
@@ -87,7 +87,6 @@ class IGESeries:
     tau_grid: np.ndarray
     instant_volume: np.ndarray
     degenerate: bool
-    fit: FitReport | None = None
 
 
 def _log_volume_element(chart: Chart, x: np.ndarray) -> np.ndarray:
@@ -188,9 +187,7 @@ def fit_growth(series: IGESeries, window: tuple[float, float]) -> FitReport:
     log_fit = _least_squares(np.log(taus), ent, "logarithmic")
     lin_fit = _least_squares(taus, ent, "linear")
     selected = "logarithmic" if log_fit.aic <= lin_fit.aic else "linear"
-    report = FitReport(log_fit, lin_fit, selected, (w0, w1), n)
-    series.fit = report
-    return report
+    return FitReport(log_fit, lin_fit, selected, (w0, w1), n)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ A ``ManifoldModel`` is a coordinate box plus a metric field.  A model
 built from a probability family gets its ``Chart`` from the atomic
 records in ``families.KINDS``: the constant frame metric, connection and
 curvature of each factor, placed block-diagonally (factors are
-independent).  Its closed-form metric, Christoffel symbols and Riemann
-tensor in theta coordinates are derived from that chart, so the Fisher
-metric checked against quadrature of the density is built from the same
-data that drives the geodesics.
+independent).  The chart owns the frame connection and curvature; its
+model carries the chart metric alone.  The closed-form metric,
+Christoffel symbols and Riemann tensor in theta coordinates are derived
+from the chart, so the Fisher metric checked against quadrature of the
+density is built from the same data that drives the geodesics.
 
 The two prebuilt manifolds are the 2-d exponential x exponential model
 (metric diag(1/mu_A^2, 1/mu_B^2), flat) and the 3-d Wigner-Dyson x
@@ -23,7 +24,7 @@ curvature are constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable
 
@@ -44,8 +45,9 @@ class ManifoldModel:
     definite (dim x dim) matrix, and a (k, dim) stack of points to the
     (k, dim, dim) stack of their metrics, so that finite differences
     evaluate a whole stencil in one call.  ``christoffel_fn``/
-    ``riemann_fn`` are optional exact overrides used as oracles for (and
-    fast paths around) the finite-difference pipeline; ``sample_box``
+    ``riemann_fn`` are optional closed forms in the same coordinates:
+    ``geometry`` uses them where given and differences the metric where
+    not, so they are also the oracles of that pipeline; ``sample_box``
     is a finite per-coordinate box used when drawing random in-domain
     test points; ``chart`` is the chart geodesics are integrated in and
     volumes are measured in.
@@ -88,13 +90,13 @@ class ManifoldModel:
             lo, hi = lo + margin, hi - margin
         return (lo < arr) & (arr < hi)
 
-    def check_point(self, theta, margin: float = 0.0) -> np.ndarray:
+    def check_point(self, theta) -> np.ndarray:
         """Validate a coordinate vector, naming the offending coordinate."""
         arr = np.asarray(theta, dtype=float).reshape(-1)
         if arr.size != self.dim:
             raise ShapeError(
                 f"model {self.name!r} has dim {self.dim}, got point of size {arr.size}")
-        inside = self._inside(arr, margin)
+        inside = self._inside(arr, 0.0)
         if np.count_nonzero(inside) < self.dim:
             i = int(np.argmin(inside))
             lo, hi = self.domain[i]
@@ -144,21 +146,27 @@ class Chart:
     and x = theta on the others.  Vectors are carried as components w in
     the frame e_a = exp(rates[a] . x) d/dx^a, so dx/dtau = lengths(x) * w
     and d(theta)/dtau = theta_lengths(x) * w, and their g-norms use the
-    constant diagonal ``frame_metric``.  ``model`` is the manifold in
-    chart coordinates: its ``metric_fn`` is the chart metric in coordinate
-    components, which the finite-difference path differentiates, while
-    its ``christoffel_fn`` and ``riemann_fn`` give the closed forms as
-    frame components (``frame_tensors`` converts the finite-difference
-    tensors to the same components).  The frame forms are constant, so the
-    closed-form right-hand sides read them once per integration.
-    The coordinate maps, ``lengths``, ``theta_lengths`` and ``norms`` take
-    one point or a stack of points, one per row.
+    constant diagonal ``frame_metric``.  ``omega`` (nabla_{e_b} e_c =
+    omega^a_bc e_a) and ``curvature`` (Rhat^m_nrs) are the frame
+    connection and curvature: constant, read-only, and read once per
+    integration by the closed-form right-hand sides.  ``model`` is the
+    manifold in chart coordinates with the chart metric alone, which
+    ``geometry`` differentiates; ``frame_tensors`` turns those coordinate
+    tensors into frame components.  The coordinate maps, ``lengths``,
+    ``theta_lengths`` and ``norms`` take one point or a stack of points,
+    one per row.
     """
 
     model: ManifoldModel
     log_scale: np.ndarray
     rates: np.ndarray
     frame_metric: np.ndarray
+    omega: np.ndarray
+    curvature: np.ndarray
+
+    def __post_init__(self):
+        # Every closed-form right-hand side reads these arrays themselves.
+        self.omega.flags.writeable = self.curvature.flags.writeable = False
 
     def to_chart(self, theta) -> np.ndarray:
         x = np.array(theta, dtype=float)
@@ -319,11 +327,28 @@ def _chart_metric(eye_metric: np.ndarray, rates: np.ndarray,
     return np.exp(x @ rates.T)[..., None, :] * eye_metric
 
 
+def _chart(name: str, coord_names: tuple[str, ...],
+           domain: tuple[tuple[float, float], ...], log_scale: np.ndarray,
+           rates: np.ndarray, frame_metric: np.ndarray, omega: np.ndarray,
+           curvature: np.ndarray) -> Chart:
+    """A chart whose model, named ``name``, carries the chart metric alone."""
+    chart_model = ManifoldModel(
+        name=name,
+        dim=len(coord_names),
+        coord_names=tuple(f"log {c}" if ls else c
+                          for c, ls in zip(coord_names, log_scale)),
+        domain=tuple((-math.inf, math.inf) if ls else d
+                     for d, ls in zip(domain, log_scale)),
+        metric_fn=partial(_chart_metric, np.diag(frame_metric), -2.0 * rates),
+        _log_coords=tuple(bool(ls) for ls in log_scale),
+    )
+    return Chart(chart_model, log_scale, rates, frame_metric, omega, curvature)
+
+
 def _log_chart(layout, name: str, coord_names: tuple[str, ...],
                domain: tuple[tuple[float, float], ...]) -> Chart:
     """The log-scale chart of a family, assembled from its factor records."""
     dim = len(coord_names)
-    log_scale = np.array([f for rec, _ in layout for f in rec.log_scale])
     rates = np.zeros((dim, dim))
     omega = np.zeros((dim,) * 3)
     curvature = np.zeros((dim,) * 4)
@@ -333,22 +358,10 @@ def _log_chart(layout, name: str, coord_names: tuple[str, ...],
                                 (rec.frame_riemann, curvature)):
             for index, value in entries:
                 tensor[tuple(np.add(index, o))] = value
+    log_scale = np.array([f for rec, _ in layout for f in rec.log_scale])
     frame_metric = np.array([g for rec, _ in layout for g in rec.frame_metric])
-    # Every closed-form call hands out these arrays themselves.
-    omega.flags.writeable = curvature.flags.writeable = False
-    chart_model = ManifoldModel(
-        name=f"{name} (log chart)",
-        dim=dim,
-        coord_names=tuple(f"log {c}" if ls else c
-                          for c, ls in zip(coord_names, log_scale)),
-        domain=tuple((-math.inf, math.inf) if ls else d
-                     for d, ls in zip(domain, log_scale)),
-        metric_fn=partial(_chart_metric, np.diag(frame_metric), -2.0 * rates),
-        christoffel_fn=lambda x: omega,
-        riemann_fn=lambda x: curvature,
-        _log_coords=tuple(bool(ls) for ls in log_scale),
-    )
-    return Chart(chart_model, log_scale, rates, frame_metric)
+    return _chart(f"{name} (log chart)", coord_names, domain, log_scale, rates,
+                  frame_metric, omega, curvature)
 
 
 def _power_terms(rank: int, index: np.ndarray, coef: np.ndarray,
@@ -368,8 +381,7 @@ def _power_terms(rank: int, index: np.ndarray, coef: np.ndarray,
 
 def _theta_forms(chart: Chart) -> tuple[Callable, Callable, Callable]:
     """The metric, Christoffel symbols and Riemann tensor in theta
-    coordinates, from a chart whose frame forms (its model's closed forms)
-    are constant.
+    coordinates, from a chart's constant frame forms.
 
     The frame vector e_a has theta length L_a = prod_k theta_k^S_ak over the
     log-scale coordinates k, with S = rates + diag(log_scale), so
@@ -387,21 +399,20 @@ def _theta_forms(chart: Chart) -> tuple[Callable, Callable, Callable]:
     cols = np.flatnonzero(chart.log_scale)
     S = (chart.rates + np.diag(chart.log_scale))[:, cols]
     dim = len(S)
-    omega = chart.model.christoffel_fn(np.zeros(dim))
-    curvature = chart.model.riemann_fn(np.zeros(dim))
-    a, b, c = np.nonzero(omega)
-    m, n, r, s = np.nonzero(curvature)
+    a, b, c = np.nonzero(chart.omega)
+    m, n, r, s = np.nonzero(chart.curvature)
     row, k = np.nonzero(S)  # the delta term sits at (row, cols[k], row)
     gamma_index = np.ravel_multi_index(
         (np.r_[a, row], np.r_[b, cols[k]], np.r_[c, row]), (dim,) * 3)
     return (
         partial(_power_terms, 2, np.arange(dim) * (dim + 1), chart.frame_metric,
                 np.hstack([S, S]), np.r_[cols, cols]),
-        partial(_power_terms, 3, gamma_index, np.r_[omega[a, b, c], -S[row, k]],
+        partial(_power_terms, 3, gamma_index,
+                np.r_[chart.omega[a, b, c], -S[row, k]],
                 np.concatenate([S[b] + S[c] - S[a], np.eye(len(cols))[k]]),
                 cols),
         partial(_power_terms, 4, np.ravel_multi_index((m, n, r, s), (dim,) * 4),
-                curvature[m, n, r, s], S[n] + S[r] + S[s] - S[m], cols))
+                chart.curvature[m, n, r, s], S[n] + S[r] + S[s] - S[m], cols))
 
 
 def model_from_family(fam: FamilySpec, name: str | None = None) -> ManifoldModel:
@@ -443,20 +454,14 @@ def gaussian_model() -> ManifoldModel:
 
 def euclidean_model(dim: int = 2) -> ManifoldModel:
     """Flat test model with the identity metric in Cartesian coordinates."""
-    eye = np.eye(dim)
-    flat = ManifoldModel(
-        name="euclidean",
-        dim=dim,
-        coord_names=tuple(f"x{i}" for i in range(dim)),
-        domain=((-math.inf, math.inf),) * dim,
-        metric_fn=lambda theta: np.zeros(np.shape(theta)[:-1] + eye.shape) + eye,
-        christoffel_fn=lambda theta: np.zeros((dim, dim, dim)),
-        riemann_fn=lambda theta: np.zeros((dim, dim, dim, dim)),
-        sample_box=tuple((-2.0, 2.0) for _ in range(dim)),
-    )
+    names = tuple(f"x{i}" for i in range(dim))
+    domain = ((-math.inf, math.inf),) * dim
     # Cartesian coordinates are their own chart and frame.
-    return replace(flat, chart=Chart(flat, np.zeros(dim, dtype=bool),
-                                     np.zeros((dim, dim)), np.ones(dim)))
+    chart = _chart("euclidean", names, domain, np.zeros(dim, dtype=bool),
+                   np.zeros((dim, dim)), np.ones(dim), np.zeros((dim,) * 3),
+                   np.zeros((dim,) * 4))
+    return ManifoldModel("euclidean", dim, names, domain, *_theta_forms(chart),
+                         sample_box=((-2.0, 2.0),) * dim, chart=chart)
 
 
 _MODEL_FACTORIES = {

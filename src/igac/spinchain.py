@@ -397,12 +397,10 @@ class HistogramData:
     edges: np.ndarray
     densities: np.ndarray
     centers: np.ndarray
-    poisson_ref: np.ndarray
-    wigner_ref: np.ndarray
 
 
 def spacing_histogram(spacings: np.ndarray, bin_count: int) -> HistogramData:
-    """Normalized spacing histogram plus both reference densities."""
+    """Normalized spacing histogram with its bin centres."""
     if bin_count < 5:
         raise ValidationError(
             f"bin_count must be >= 5, got {bin_count}", field="bin_count")
@@ -412,10 +410,7 @@ def spacing_histogram(spacings: np.ndarray, bin_count: int) -> HistogramData:
         lo, hi = lo - 0.5, hi + 0.5  # all equal: one occupied bin mid-range
     densities, edges = np.histogram(spacings, bins=bin_count, range=(lo, hi),
                                     density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return HistogramData(edges, densities, centers,
-                         poisson_spacing_pdf(centers),
-                         wigner_spacing_pdf(centers))
+    return HistogramData(edges, densities, 0.5 * (edges[:-1] + edges[1:]))
 
 
 @dataclass(frozen=True)

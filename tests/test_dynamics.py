@@ -13,7 +13,6 @@ from igac import (DomainError, InsufficientDataError, ShapeError,
                   integrate_geodesic, integrate_jacobi, model,
                   reverse_initial_conditions)
 from igac.dynamics import _geodesic_rhs, _integrate_on_grid, _jacobi_rhs
-from igac.geometry import christoffel, riemann
 from igac.manifold import Chart, ManifoldModel
 
 SQRT2 = math.sqrt(2.0)
@@ -269,9 +268,9 @@ def test_jacobi_fields_follow_the_exact_flow(data, name, speed):
 @given(data=st.data())
 def test_closed_form_right_hand_sides_are_bitwise_the_geometry_calls(name, data):
     # The right-hand sides read the chart's constant frame forms once; at
-    # any state they equal the expressions built from christoffel and
-    # riemann at every stage, with NaN tensors where those reject x (an inf
-    # or NaN coordinate), so such a stage rejects the step.
+    # any state they equal the expressions built from those forms at every
+    # stage, with NaN tensors where the chart model rejects x (an inf or
+    # NaN coordinate), so such a stage rejects the step.
     chart = model(name).chart
     cm, dim = chart.model, chart.model.dim
     y = data.draw(arrays(np.float64, 4 * dim,
@@ -282,7 +281,8 @@ def test_closed_form_right_hand_sides_are_bitwise_the_geometry_calls(name, data)
     x, w, jac, rate = y.reshape(4, dim)
     with np.errstate(all="ignore"):
         try:
-            gam, riem = christoffel(cm, x), riemann(cm, x)
+            cm.check_point(x)
+            gam, riem = chart.omega, chart.curvature
         except DomainError:
             assert not np.isfinite(x).all()
             gam, riem = np.full((dim,) * 3, np.nan), np.full((dim,) * 4, np.nan)
@@ -455,7 +455,7 @@ def test_solver_statistics_count_rejected_steps():
 
 def walled_chart(wall):
     """A flat 2-d chart, x = theta, whose metric turns singular or non-finite
-    past x0 = 1, or whose domain ends there (no wall for "none"); its closed
+    past x0 = 1, or whose domain ends there (no wall for "none"); its frame
     forms are those of the flat side."""
     bad = {"singular": 0.0, "inf": math.inf, "nan": math.nan}.get(wall)
 
@@ -469,11 +469,10 @@ def walled_chart(wall):
         name="walled", dim=2, coord_names=("x0", "x1"),
         domain=((-math.inf, 1.0 if wall == "domain" else math.inf),
                 (-math.inf, math.inf)),
-        metric_fn=metric,
-        christoffel_fn=lambda x: np.zeros((2, 2, 2)),
-        riemann_fn=lambda x: np.zeros((2, 2, 2, 2)))
+        metric_fn=metric)
     return replace(flat, chart=Chart(flat, np.zeros(2, dtype=bool),
-                                     np.zeros((2, 2)), np.ones(2)))
+                                     np.zeros((2, 2)), np.ones(2),
+                                     np.zeros((2, 2, 2)), np.zeros((2,) * 4)))
 
 
 def test_geodesic_stage_outside_the_chart_rejects_the_step():

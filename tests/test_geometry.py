@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,11 @@ from igac.geometry import (DEFAULT_FD_STEP, _steps, curvature_stencil,
                            riemann_from_stencil)
 
 
+def fd_view(mdl):
+    """The model without its closed forms, so geometry differences it."""
+    return replace(mdl, christoffel_fn=None, riemann_fn=None)
+
+
 def test_christoffel_integrable_analytic():
     gam = christoffel(integrable_model(), (1.0, 1.0))
     expected = np.zeros((2, 2, 2))
@@ -26,17 +33,17 @@ def test_christoffel_fd_matches_override():
     for mdl in (integrable_model(), chaotic_model(), gaussian_model()):
         for theta in mdl.random_points(5, seed=rng.integers(1 << 30)):
             exact = christoffel(mdl, theta)
-            fd = christoffel(mdl, theta, use_closed_form=False)
+            fd = christoffel(fd_view(mdl), theta)
             np.testing.assert_allclose(fd, exact, atol=5e-7)
 
 
 def test_christoffel_euclidean_zero():
-    gam = christoffel(euclidean_model(3), (0.2, -0.4, 1.0), use_closed_form=False)
+    gam = christoffel(fd_view(euclidean_model(3)), (0.2, -0.4, 1.0))
     np.testing.assert_allclose(gam, 0.0, atol=1e-12)
 
 
 def test_christoffel_gaussian_analytic():
-    gam = christoffel(gaussian_model(), (0.0, 1.0), use_closed_form=False)
+    gam = christoffel(fd_view(gaussian_model()), (0.0, 1.0))
     assert gam[0, 0, 1] == pytest.approx(-1.0, abs=1e-7)
     assert gam[0, 1, 0] == pytest.approx(-1.0, abs=1e-7)
     assert gam[1, 0, 0] == pytest.approx(0.5, abs=1e-7)
@@ -50,18 +57,18 @@ def test_christoffel_gaussian_analytic():
 def test_christoffel_symmetric_in_lower_indices():
     for mdl in (chaotic_model(), gaussian_model()):
         theta = mdl.random_points(1, seed=4)[0]
-        gam = christoffel(mdl, theta, use_closed_form=False)
+        gam = christoffel(fd_view(mdl), theta)
         np.testing.assert_allclose(gam, np.swapaxes(gam, 1, 2), atol=1e-9)
 
 
 def test_curvature_integrable_flat():
     for theta in integrable_model().random_points(10, seed=6):
-        rep = curvature(integrable_model(), theta, use_closed_form=False)
+        rep = curvature(fd_view(integrable_model()), theta)
         assert abs(rep.scalar) < 1e-6, theta
 
 
 def test_curvature_chaotic_scalar_minus_one():
-    rep = curvature(chaotic_model(), (1.0, 0.0, 1.0), use_closed_form=False)
+    rep = curvature(fd_view(chaotic_model()), (1.0, 0.0, 1.0))
     assert rep.scalar == pytest.approx(-1.0, abs=1e-4)
     # sum over ordered pairs equals the scalar
     total = 2.0 * sum(rep.sectional.values())
@@ -72,7 +79,7 @@ def test_curvature_gaussian_constant_sectional():
     mdl = gaussian_model()
     values = []
     for theta in mdl.random_points(20, seed=13):
-        rep = curvature(mdl, theta, use_closed_form=False)
+        rep = curvature(fd_view(mdl), theta)
         values.append(rep.sectional[(0, 1)])
     values = np.array(values)
     np.testing.assert_allclose(values, -0.5, atol=1e-5)
@@ -83,23 +90,23 @@ def test_curvature_closed_form_matches_fd():
     for mdl in (chaotic_model(), gaussian_model()):
         for theta in mdl.random_points(5, seed=17):
             exact = riemann(mdl, theta)
-            fd = riemann(mdl, theta, use_closed_form=False)
+            fd = riemann(fd_view(mdl), theta)
             np.testing.assert_allclose(fd, exact, atol=1e-5)
 
 
 def test_riemann_antisymmetry_last_pair():
     mdl = chaotic_model()
     theta = mdl.random_points(1, seed=19)[0]
-    r = riemann(mdl, theta, use_closed_form=False)
+    r = riemann(fd_view(mdl), theta)
     np.testing.assert_allclose(r, -np.swapaxes(r, 2, 3), atol=1e-7)
 
 
 def test_first_bianchi_identity():
     for mdl in (chaotic_model(), gaussian_model()):
         for theta in mdl.random_points(5, seed=23):
-            r = riemann(mdl, theta, use_closed_form=False)
+            r = riemann(fd_view(mdl), theta)
             cyc = (r + np.einsum("mrsn->mnrs", r) + np.einsum("msnr->mnrs", r))
-            rep = curvature(mdl, theta, use_closed_form=False)
+            rep = curvature(fd_view(mdl), theta)
             tol = 10.0 * max(rep.scalar_consistency, 1e-8)
             assert np.max(np.abs(cyc)) < tol
 
@@ -110,7 +117,7 @@ def test_metric_compatibility():
         for theta in mdl.random_points(5, seed=29):
             theta = np.asarray(theta)
             g = mdl.metric(theta)
-            gam = christoffel(mdl, theta, fd_step=1e-5, use_closed_form=False)
+            gam = christoffel(fd_view(mdl), theta, fd_step=1e-5)
             dg = _metric_partials(mdl, theta, 1e-5)
             nabla = (dg - np.einsum("rlm,rn->lmn", gam, g)
                      - np.einsum("rln,mr->lmn", gam, g))
@@ -120,12 +127,12 @@ def test_metric_compatibility():
 def test_fd_step_richardson_consistency():
     for mdl in (chaotic_model(), gaussian_model()):
         for theta in mdl.random_points(5, seed=31):
-            rep = curvature(mdl, theta, use_closed_form=False)
+            rep = curvature(fd_view(mdl), theta)
             assert rep.scalar_consistency < 1e-4
 
 
 def test_chaotic_ricci_product_structure():
-    rep = curvature(chaotic_model(), (1.4, -0.3, 0.8), use_closed_form=False)
+    rep = curvature(fd_view(chaotic_model()), (1.4, -0.3, 0.8))
     ric = rep.ricci
     # Wigner-Dyson block decouples and is flat.
     np.testing.assert_allclose(ric[0, :], 0.0, atol=1e-6)
@@ -147,8 +154,7 @@ def test_scalar_sign_classification():
 
 def test_fd_step_boundary_guard():
     with pytest.raises(DomainError):
-        christoffel(integrable_model(), (1e-6, 1.0), fd_step=1e-2,
-                    use_closed_form=False)
+        christoffel(fd_view(integrable_model()), (1e-6, 1.0), fd_step=1e-2)
 
 
 # Every model in theta coordinates, and the prebuilt models whose log-scale
@@ -168,7 +174,7 @@ def separate_passes(mdl, th, fd_step):
     Gamma at theta, Gamma at each theta +/- h_r e_r, and the einsum formula
     for R^m_nrs = d_r G^m_sn - d_s G^m_rn + G^m_rl G^l_sn - G^m_sl G^l_rn."""
     def gamma(p):
-        return christoffel(mdl, p, fd_step, use_closed_form=False)
+        return christoffel(fd_view(mdl), p, fd_step)
 
     h = _steps(mdl, th, fd_step)
     gam = gamma(th)
@@ -193,13 +199,13 @@ def test_stacked_pass_is_bitwise_the_separate_passes(name, data):
     th = np.array(data.draw(st.tuples(
         *(st.floats(lo, hi) for lo, hi in mdl.sample_box))))
     gam, riem = separate_passes(mdl, th, DEFAULT_FD_STEP)
-    assert bitwise_equal(riemann(mdl, th, use_closed_form=False), riem)
+    assert bitwise_equal(riemann(fd_view(mdl), th), riem)
     points, h = curvature_stencil(mdl, th)
-    gams = christoffel(mdl, points, use_closed_form=False)
+    gams = christoffel(fd_view(mdl), points)
     assert bitwise_equal(gams[0], gam)
     assert bitwise_equal(riemann_from_stencil(gams, h), riem)
     # The report's tensors come from the halved step, in one pass.
-    rep = curvature(mdl, th, use_closed_form=False)
+    rep = curvature(fd_view(mdl), th)
     gam_half, riem_half = separate_passes(mdl, th, DEFAULT_FD_STEP / 2.0)
     assert bitwise_equal(rep.christoffel, gam_half)
     assert bitwise_equal(rep.riemann, riem_half)
@@ -255,31 +261,49 @@ def test_stencil_and_frame_assembly_are_bitwise_their_einsum_forms(name, data):
 
 
 def test_chart_frame_forms_are_read_only():
-    # Every closed-form call hands out the chart's own arrays, so a write
-    # into one would change every later geodesic on the model.
-    cm = gaussian_model().chart.model
-    x = np.zeros(2)
+    # Every closed-form right-hand side reads the chart's own arrays, so a
+    # write into one would change every later geodesic on the model.
+    chart = gaussian_model().chart
     with pytest.raises(ValueError):
-        christoffel(cm, x)[1, 0, 0] = 7.0
+        chart.omega[1, 0, 0] = 7.0
     with pytest.raises(ValueError):
-        riemann(cm, x)[1, 0, 1, 0] = 7.0
+        chart.curvature[1, 0, 1, 0] = 7.0
+
+
+@pytest.mark.parametrize("depth", [-2.0, -30.0])
+@pytest.mark.parametrize("name", ["gaussian", "chaotic"])
+def test_chart_model_curvature_is_that_of_the_manifold(name, depth):
+    # The chart model carries the chart metric alone, so its curvature
+    # report is in chart coordinates and gives the manifold's scalar -1.
+    chart = model(name).chart
+    x = np.where(chart.log_scale, depth, 0.7)
+    assert curvature(chart.model, x).scalar == pytest.approx(-1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", CHART_MODELS + ("euclidean",))
+def test_chart_models_are_differenced(name):
+    # No chart model carries closed forms: the frame forms are the chart's.
+    chart = model(name).chart
+    x = np.where(chart.log_scale, -2.0, 0.7)
+    assert bitwise_equal(christoffel(chart.model, x),
+                         christoffel(fd_view(chart.model), x))
 
 
 def test_christoffel_on_a_stack_of_points():
     mdl = chaotic_model()
     points = mdl.random_points(4, seed=41)
-    for closed in (True, False):
-        stacked = christoffel(mdl, points, use_closed_form=closed)
+    for view in (mdl, fd_view(mdl)):
+        stacked = christoffel(view, points)
         assert stacked.shape == (4, 3, 3, 3)
         for p, gam in zip(points, stacked):
-            assert bitwise_equal(gam, christoffel(mdl, p, use_closed_form=closed))
+            assert bitwise_equal(gam, christoffel(view, p))
     points[2, 2] = -1.0  # sigma_B below zero
-    for closed in (True, False):
+    for view in (mdl, fd_view(mdl)):
         with pytest.raises(DomainError, match="sigma_B"):
-            christoffel(mdl, points, use_closed_form=closed)
+            christoffel(view, points)
         for bad in (points[:, :2], points[:0]):
             with pytest.raises(ShapeError):
-                christoffel(mdl, bad, use_closed_form=closed)
+                christoffel(view, bad)
 
 
 @pytest.mark.parametrize("depth", [-30.0, -300.0])
@@ -291,8 +315,7 @@ def test_fd_chart_tensors_keep_their_accuracy_at_depth(name, depth):
     chart = model(name).chart
     cm = chart.model
     x = np.where(chart.log_scale, depth, 0.7)
-    omega, curv = chart.frame_tensors(
-        x, christoffel(cm, x, use_closed_form=False),
-        riemann(cm, x, use_closed_form=False))
-    np.testing.assert_allclose(omega, christoffel(cm, x), rtol=0.0, atol=1e-7)
-    np.testing.assert_allclose(curv, riemann(cm, x), rtol=0.0, atol=1e-5)
+    omega, curv = chart.frame_tensors(x, christoffel(fd_view(cm), x),
+                                      riemann(fd_view(cm), x))
+    np.testing.assert_allclose(omega, chart.omega, rtol=0.0, atol=1e-7)
+    np.testing.assert_allclose(curv, chart.curvature, rtol=0.0, atol=1e-5)
