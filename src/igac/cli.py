@@ -452,7 +452,8 @@ def cmd_chain(cfg: dict) -> int:
         "spacing_count": int(len(record.unfolded_spacings)),
         "ks_poisson": record.ks_poisson, "ks_wigner": record.ks_wigner,
         "verdict": record.verdict, "r_mean": record.r_mean,
-        "diagnostics": {"block_dims": list(record.block_dims),
+        "diagnostics": {"method": record.method, "dense_dim": record.dense_dim,
+                        "mode_energies": record.mode_energies,
                         "unfold_condition": record.unfold_condition,
                         "trimmed_levels": record.trimmed_levels}})
     if cfg["plot"]:

@@ -181,7 +181,6 @@ class CurvatureReport:
     ricci: np.ndarray
     scalar: float
     sectional: dict[tuple[int, int], float]
-    fd_step: float
     scalar_consistency: float
 
 
@@ -197,8 +196,7 @@ def _orthonormal_plane(g: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.nd
 
 
 def _assemble(model: ManifoldModel, th: np.ndarray, gam: np.ndarray,
-              riem: np.ndarray, fd_step: float,
-              coarse: np.ndarray | None) -> CurvatureReport:
+              riem: np.ndarray, coarse: np.ndarray | None) -> CurvatureReport:
     """The report from Gamma and R; ``coarse`` is R at twice the
     differencing step, for the step-halving check (None for closed forms)."""
     g = model.metric(th)
@@ -215,7 +213,7 @@ def _assemble(model: ManifoldModel, th: np.ndarray, gam: np.ndarray,
             sectional[(i, j)] = float(u @ g @ ruvv)
     return CurvatureReport(point=th, christoffel=gam, riemann=riem,
                            ricci=ricci, scalar=scalar, sectional=sectional,
-                           fd_step=fd_step, scalar_consistency=consistency)
+                           scalar_consistency=consistency)
 
 
 def curvature(model: ManifoldModel, theta,
@@ -229,11 +227,10 @@ def curvature(model: ManifoldModel, theta,
     th = model.check_point(theta)
     if model.riemann_fn is not None:
         gam, riem = christoffel(model, th, fd_step), riemann(model, th, fd_step)
-        return _assemble(model, th, gam, riem, fd_step, None)
+        return _assemble(model, th, gam, riem, None)
     coarse = riemann(model, th, fd_step)
-    half = fd_step / 2.0
-    gam, riem = _fd_tensors(model, th, half)
-    return _assemble(model, th, gam, riem, half, coarse)
+    gam, riem = _fd_tensors(model, th, fd_step / 2.0)
+    return _assemble(model, th, gam, riem, coarse)
 
 
 @dataclass(frozen=True)

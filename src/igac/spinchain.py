@@ -39,12 +39,17 @@ representative is mapped to the representative of its image, with the
 parity sign and the orbit normalisation, so a parity sector never forms
 the 2^n-dimensional H or a projection onto the sector.
 
-At h_x = 0, H' also commutes with the spin-flip parity P = prod_j sz_j:
-each bond flips two spins, sz is diagonal and the reflection keeps the
-popcount.  Every sector then splits into the states of even and of odd
-popcount, and ``analyze_chain`` builds and diagonalizes the two blocks
-on their own (each about 1/8 of the sector's O(d^3) eigensolve).  The
-spectrum under analysis is their merged union, the sector's spectrum.
+At h_x = 0 the chain is the open transverse-field Ising chain, free
+fermions after Jordan-Wigner (Lieb, Schultz & Mattis, Ann. Phys. 16, 407
+(1961); Pfeuty, Ann. Phys. 57, 79 (1970)).  Its mode energies s_0 >= s_1
+>= ... are the singular values of the n x n bidiagonal with h_y on the
+diagonal and 1 above it; its levels are E_S = -sum_k s_k + 2 sum_{k in S}
+s_k over the sets S of excited modes.  The ground state is reflection-
+even, mode k alone has parity (-1)^k, and reversing the order of the |S|
+fermions gives the sign (-1)^{|S|(|S|-1)/2}: E_S is reflection-even
+exactly when sum_{k in S} k + |S|(|S|-1)/2 is even.  So ``analyze_chain``
+enumerates h_x = 0 sectors from the n mode energies without a matrix;
+``build_hamiltonian`` stays the dense oracle the enumeration is tested on.
 """
 
 from __future__ import annotations
@@ -100,8 +105,7 @@ def _reverse_bits(states: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _sector_matrix(n: int, h_x: float, h_y: float, sector: str,
-                   flip_parity: int | None = None) -> np.ndarray:
+def _sector_matrix(n: int, h_x: float, h_y: float, sector: str) -> np.ndarray:
     """Dense H' (see the module docstring) in one sector's basis.
 
     The basis holds one state per reflection orbit {s, R s}, labelled by
@@ -110,9 +114,7 @@ def _sector_matrix(n: int, h_x: float, h_y: float, sector: str,
     the full sector takes R as the identity.  A flip of r with amplitude
     a lands on s, whose representative r' gets a sigma sqrt(g_r / g_r'),
     with g the orbit size (1 or 2) and sigma = p when s = R r', else 1
-    (Sandvik, arXiv:1101.3281).  With ``flip_parity`` 0 or 1 the basis
-    keeps only the representatives of that popcount parity: the block of
-    the spin-flip parity P, exact only when h_x = 0.
+    (Sandvik, arXiv:1101.3281).
     """
     states = np.arange(1 << n, dtype=np.int64)
     partner = states if sector == "full" else _reverse_bits(states, n)
@@ -124,9 +126,6 @@ def _sector_matrix(n: int, h_x: float, h_y: float, sector: str,
     popcount = np.zeros_like(reps)
     for j in range(n):
         popcount += (reps >> j) & 1
-    if flip_parity is not None:
-        keep = (popcount & 1) == flip_parity
-        reps, popcount = reps[keep], popcount[keep]
     index = np.full(len(states), -1, dtype=np.int64)
     index[reps] = np.arange(len(reps))
     orbit = np.where(partner == states, 1.0, 2.0)
@@ -138,8 +137,7 @@ def _sector_matrix(n: int, h_x: float, h_y: float, sector: str,
         masks, amps = masks + [1 << j for j in range(n)], amps + [h_x] * n
     images = reps[:, None] ^ np.array(masks, dtype=np.int64)
     image_reps = np.minimum(images, partner[images])
-    # -1: a palindrome, absent from the odd sector.  No flip leaves a P
-    # block, which is built only at h_x = 0.
+    # -1: a palindrome, absent from the odd sector.
     rows = index[image_reps]
     cols = np.broadcast_to(index[reps][:, None], rows.shape)
     values = (np.array(amps) * np.where(images == image_reps, 1.0, parity)
@@ -154,19 +152,10 @@ def _sector_matrix(n: int, h_x: float, h_y: float, sector: str,
     return h
 
 
-def _sector_dim(n: int, sector: str, flip_parity: int | None = None) -> int:
-    """Dimension of a symmetry sector of the n-spin chain, or of its block
-    of one popcount parity (see ``_sector_matrix``)."""
+def _sector_dim(n: int, sector: str) -> int:
+    """Dimension of a symmetry sector of the n-spin chain."""
     dim = 1 << n
     palindromes = 1 << ((n + 1) // 2)
-    if flip_parity is not None:
-        # Half the states have either parity.  A palindrome's popcount is
-        # twice its left half's plus, for odd n, its middle bit.
-        dim //= 2
-        if n % 2:
-            palindromes //= 2
-        elif flip_parity:
-            palindromes = 0
     if sector == "full":
         return dim
     if sector == "reflection_even":
@@ -182,25 +171,27 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
-def _check_resources(spec: ChainSpec,
-                     flip_parities: tuple = (None,)) -> None:
-    """Raise ResourceError when n exceeds the configured ceiling or when
-    the largest of the given blocks (see ``_sector_dim``), d x d, and the
-    eigensolver's copy of it (2 d^2 float64 values) would not fit in
-    physical memory."""
+def _check_resources(spec: ChainSpec, dense: bool = True) -> None:
+    """Raise ResourceError when n exceeds the configured ceiling or when the
+    path's arrays would not fit in physical memory: the d x d sector matrix
+    and the eigensolver's copy (2 d^2 float64 values) when dense, the
+    free-fermion enumeration's 2^n-level arrays otherwise."""
     ceiling = max_spins()
     if spec.n > ceiling:
         raise ResourceError(
             f"n={spec.n} exceeds the configured maximum {ceiling} "
             f"(set {MAX_SPINS_ENV} to override)")
-    d = max(_sector_dim(spec.n, spec.sector, b) for b in flip_parities)
-    needed = 2 * d * d * np.dtype(float).itemsize
+    if dense:
+        d = _sector_dim(spec.n, spec.sector)
+        needed = 2 * d * d * np.dtype(float).itemsize
+        what = f"a dense matrix of d={d} with the eigensolver's copy"
+    else:  # per level: 2.5 float64 arrays, 2 bool masks (21.1 B measured)
+        needed, what = 22 << spec.n, f"the 2^{spec.n} free-fermion levels"
     available = _physical_memory_bytes()
     if available is not None and needed > available:
         raise ResourceError(
-            f"n={spec.n} {spec.sector}: a dense matrix of d={d} needs "
-            f"{needed / 1e9:.2f} GB with the eigensolver's copy, more than the "
-            f"{available / 1e9:.2f} GB of physical memory")
+            f"n={spec.n} {spec.sector}: {what} needs {needed / 1e9:.2f} GB, "
+            f"more than the {available / 1e9:.2f} GB of physical memory")
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -424,38 +415,49 @@ class SpectrumRecord:
     ks_wigner: float
     verdict: str
     r_mean: float  # mean_spacing_ratio of the eigenvalues, reported only
-    block_dims: tuple[int, ...]  # dimensions of the blocks diagonalized
+    method: str  # "free_fermion" (h_x = 0) or "dense"
+    dense_dim: int | None  # dimension diagonalized, dense only
+    mode_energies: tuple[float, ...] | None  # the n s_k, free_fermion only
     unfold_condition: float  # Unfolding.condition of the staircase fit
     trimmed_levels: int  # Unfolding.trimmed
 
 
-def _sector_spectrum(spec: ChainSpec) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Ascending spectrum of a sector and the dimensions of its blocks.
+def _sector_spectrum(spec: ChainSpec) -> tuple[np.ndarray, tuple | None]:
+    """Ascending spectrum of a sector, and the n mode energies s_k when it
+    comes from free fermions (h_x = 0, see the module docstring), else None.
 
-    At h_x = 0 the even- and odd-popcount blocks of the spin-flip parity P
-    are built and diagonalized one after the other, and their spectra
-    merged; otherwise the one block is the whole sector matrix, bitwise
-    ``build_hamiltonian(spec)``.  Raises ResourceError as
-    ``build_hamiltonian`` does, but for the largest block.
+    The levels double mode by mode, each gaining -s_k or +s_k; exciting
+    mode k in a set S of size m adds k + m to the parity exponent, so two
+    masks (the parities of |S| and of the exponent) carry all a sector needs.
     """
-    flip_parities = (0, 1) if spec.h_x == 0.0 else (None,)
-    _check_resources(spec, flip_parities)
-    dims = tuple(_sector_dim(spec.n, spec.sector, b) for b in flip_parities)
-    parts = [diagonalize(_sector_matrix(spec.n, spec.h_x, spec.h_y,
-                                        spec.sector, b))
-             for b in flip_parities]
-    return np.sort(np.concatenate(parts)), dims
+    if spec.h_x != 0.0:
+        return diagonalize(build_hamiltonian(spec)), None
+    _check_resources(spec, dense=False)
+    modes = np.linalg.svd(np.diag(np.full(spec.n, float(spec.h_y)))
+                          + np.eye(spec.n, k=1), compute_uv=False)  # descending
+    levels = np.zeros(1)
+    odd_size = odd = np.zeros(1, dtype=bool)  # odd: the level is reflection-odd
+    for k, s_k in enumerate(modes):
+        levels = np.concatenate([levels - s_k, levels + s_k])
+        odd = np.concatenate([odd, odd ^ odd_size ^ bool(k & 1)])
+        odd_size = np.concatenate([odd_size, ~odd_size])
+    if spec.sector != "full":
+        levels = levels[odd == (spec.sector == "reflection_odd")]
+    levels.sort()
+    return levels, tuple(modes.tolist())
 
 
 def analyze_chain(spec: ChainSpec, poly_degree: int = 7,
                   trim_fraction: float = 0.1,
                   margin: float = 0.01) -> SpectrumRecord:
-    """Build, diagonalize, unfold and classify a chain in one pass."""
-    ev, block_dims = _sector_spectrum(spec)
+    """Obtain, unfold and classify a chain's sector spectrum in one pass."""
+    ev, modes = _sector_spectrum(spec)
     unfolding = unfold(ev, poly_degree=poly_degree,
                        trim_fraction=trim_fraction)
     result = lsd_verdict(unfolding.spacings, margin=margin)
     return SpectrumRecord(spec, ev, unfolding.spacings, result.ks_poisson,
                           result.ks_wigner, result.verdict,
-                          mean_spacing_ratio(ev).mean, block_dims,
+                          mean_spacing_ratio(ev).mean,
+                          "dense" if modes is None else "free_fermion",
+                          len(ev) if modes is None else None, modes,
                           unfolding.condition, unfolding.trimmed)

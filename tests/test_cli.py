@@ -221,7 +221,8 @@ def test_chain_small_run(tmp_path):
     assert (out / "spacings.csv").exists()
     assert (out / "chain.svg").exists()
     diag = rep["diagnostics"]
-    assert diag["block_dims"] == [528] and diag["trimmed_levels"] == 104
+    assert diag["method"] == "dense" and diag["dense_dim"] == 528
+    assert diag["mode_energies"] is None and diag["trimmed_levels"] == 104
     assert 1.0 < diag["unfold_condition"] < 1e8
 
 
@@ -229,16 +230,16 @@ def test_chain_resource_guard(tmp_path, capsys, monkeypatch):
     rc, err = run(["chain", "--n", "20", "--out", str(tmp_path / "c")], capsys)
     assert rc == 3
     assert json.loads(err.strip().splitlines()[-1])["error"] == "resource"
-    # The memory check is on the largest block built: n = 8 full is
-    # d = 256 (1.05 MB with the eigensolver's copy), but at h_x = 0 its two
-    # blocks have d = 128.
+    # The memory check is on the path taken: n = 8 full is d = 256 (1.05 MB
+    # with the eigensolver's copy) dense, but at h_x = 0 no matrix is built.
     monkeypatch.setattr(igac.spinchain, "_physical_memory_bytes",
                         lambda: 1_000_000)
     argv = ["chain", "--n", "8", "--hy", "2", "--sector", "full"]
     rc, _ = run(argv + ["--hx", "0", "--out", str(tmp_path / "c0")], capsys)
     assert rc == 0
-    assert read_json(tmp_path / "c0" / "chain.json")["diagnostics"][
-        "block_dims"] == [128, 128]
+    diag = read_json(tmp_path / "c0" / "chain.json")["diagnostics"]
+    assert diag["method"] == "free_fermion" and diag["dense_dim"] is None
+    assert len(diag["mode_energies"]) == 8
     rc, err = run(argv + ["--hx", "1", "--out", str(tmp_path / "c1")], capsys)
     assert rc == 3
     assert json.loads(err.strip().splitlines()[-1])["error"] == "resource"

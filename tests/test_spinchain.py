@@ -184,63 +184,22 @@ def test_orbit_build_matches_projection_oracle(n, h_x, h_y, sector):
         assert np.max(np.abs(h - oracle)) <= 1e-12
 
 
-def free_fermion_levels(n, h_y):
-    """Reference oracle: the open chain at h_x = 0 is the transverse-field
-    Ising chain, free fermions after Jordan-Wigner (Lieb, Schultz & Mattis
-    1961; Pfeuty 1970).  Its 2^n levels are all sums of +-s_k, with s_k the
-    singular values of the bidiagonal matrix with h_y on the diagonal and 1
-    above it."""
-    b = np.diag(np.full(n, float(h_y))) + np.diag(np.ones(n - 1), 1)
-    levels = np.zeros(1)
-    for s_k in np.linalg.svd(b, compute_uv=False):
-        levels = np.concatenate([levels - s_k, levels + s_k])
-    return np.sort(levels)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 10), h_y=FIELD)
-@example(n=10, h_y=0.7)
-def test_zero_hx_chain_matches_free_fermions(n, h_y):
-    spec = ChainSpec(n, 0.0, h_y, sector="full")
-    oracle = free_fermion_levels(n, h_y)
-    whole = diagonalize(build_hamiltonian(spec))
-    split, dims = spinchain._sector_spectrum(spec)
-    assert dims == (1 << (n - 1),) * 2
-    assert np.max(np.abs(whole - oracle)) < 1e-12
-    assert np.max(np.abs(split - oracle)) < 1e-12
-
-
-def flip_block_indices(n, sector):
-    """Reference: positions of the even- and odd-popcount states among a
-    sector's orbit representatives, in the build's ascending order."""
-    states = np.arange(1 << n, dtype=np.int64)
-    partner = states if sector == "full" else spinchain._reverse_bits(states, n)
-    reps = states[(states < partner) if sector == "reflection_odd"
-                  else (states <= partner)]
-    odd = np.array([bin(int(r)).count("1") % 2 for r in reps], dtype=int)
-    return [np.flatnonzero(odd == b) for b in (0, 1)]
-
-
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 10), h_y=FIELD, sector=st.sampled_from(SECTORS))
-@example(n=1, h_y=1.0, sector="reflection_odd")  # empty sector and blocks
-def test_zero_hx_sector_splits_into_flip_parity_blocks(n, h_y, sector):
+@example(n=8, h_y=0, sector="reflection_even")  # n - 1 degenerate modes
+@example(n=7, h_y=-1.3, sector="reflection_odd")  # negative field
+@example(n=10, h_y=0.6131, sector="reflection_even")  # s_9 = 0.0047 ~ h_y^n
+@example(n=1, h_y=1.0, sector="reflection_odd")  # empty sector
+def test_zero_hx_chain_matches_free_fermions(n, h_y, sector):
+    # The dense sector matrix is the oracle of the free-fermion levels and
+    # of their reflection-parity rule.
     spec = ChainSpec(n, 0.0, h_y, sector=sector)
-    h = build_hamiltonian(spec)
-    idx = flip_block_indices(n, sector)
-    for b, keep in enumerate(idx):
-        block = spinchain._sector_matrix(n, 0.0, h_y, sector, b)
-        assert block.shape == (len(keep), len(keep))
-        assert block.tobytes() == h[np.ix_(keep, keep)].tobytes()
-        assert spinchain._sector_dim(n, sector, b) == len(keep)
-    assert np.all(h[np.ix_(idx[0], idx[1])] == 0.0)
-    assert len(idx[0]) + len(idx[1]) == spinchain._sector_dim(n, sector)
-    split, dims = spinchain._sector_spectrum(spec)
-    assert dims == (len(idx[0]), len(idx[1]))
-    whole = diagonalize(h)
-    assert split.shape == whole.shape
-    if whole.size:
-        assert np.max(np.abs(split - whole)) <= 1e-12
+    levels, modes = spinchain._sector_spectrum(spec)
+    assert len(modes) == n and np.all(np.diff(modes) <= 0.0)
+    oracle = diagonalize(build_hamiltonian(spec))
+    assert levels.shape == oracle.shape
+    if oracle.size:
+        assert np.max(np.abs(levels - oracle)) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,9 +207,9 @@ def test_zero_hx_sector_splits_into_flip_parity_blocks(n, h_y, sector):
        h_y=FIELD, sector=st.sampled_from(SECTORS))
 def test_nonzero_hx_sector_is_one_block(n, h_x, h_y, sector):
     spec = ChainSpec(n, h_x, h_y, sector=sector)
-    split, dims = spinchain._sector_spectrum(spec)
-    assert dims == (spinchain._sector_dim(n, sector),)
-    assert split.tobytes() == diagonalize(build_hamiltonian(spec)).tobytes()
+    levels, modes = spinchain._sector_spectrum(spec)
+    assert modes is None and len(levels) == spinchain._sector_dim(n, sector)
+    assert levels.tobytes() == diagonalize(build_hamiltonian(spec)).tobytes()
 
 
 def test_single_spin_tilted_field():
@@ -351,12 +310,18 @@ def test_field_rotation_spectrum_symmetry():
 
 
 def test_resource_guard_and_env_override(monkeypatch):
+    # One ceiling for both paths: the dense one and the free-fermion one.
+    for spec in (ChainSpec(20, 1.0, 1.0), ChainSpec(20, 0.0, 2.0)):
+        with pytest.raises(ResourceError, match="maximum 14"):
+            analyze_chain(spec)
     with pytest.raises(ResourceError):
         build_hamiltonian(ChainSpec(20, 1.0, 1.0))
     monkeypatch.setenv("IGAC_MAX_N", "4")
     assert max_spins() == 4
     with pytest.raises(ResourceError):
         build_hamiltonian(ChainSpec(5, 1.0, 1.0))
+    with pytest.raises(ResourceError, match="maximum 4"):
+        spinchain._sector_spectrum(ChainSpec(5, 0.0, 2.0))
     monkeypatch.setenv("IGAC_MAX_N", "notanint")
     with pytest.raises(ValidationError):
         max_spins()
@@ -366,18 +331,20 @@ def test_resource_guard_on_memory(monkeypatch):
     monkeypatch.setattr(spinchain, "_physical_memory_bytes", lambda: 1_000_000)
     # d = 136: 2 * 136^2 * 8 bytes = 0.30 MB fits; d = 256 (1.05 MB) does not.
     assert build_hamiltonian(ChainSpec(8, 1.0, 1.0)).shape == (136, 136)
-    with pytest.raises(ResourceError, match=r"d=256 .*GB"):
-        build_hamiltonian(ChainSpec(8, 1.0, 1.0, sector="full"))
-    # At h_x = 0 analyze_chain builds only the two d = 128 flip-parity
-    # blocks (0.26 MB each); the whole sector still does not fit.
-    rec = analyze_chain(ChainSpec(8, 0.0, 2.0, sector="full"))
-    assert rec.block_dims == (128, 128) and len(rec.eigenvalues) == 256
     for spec in (ChainSpec(8, 0.0, 2.0, sector="full"),
                  ChainSpec(8, 1.0, 1.0, sector="full")):
         with pytest.raises(ResourceError, match=r"d=256 .*GB"):
             build_hamiltonian(spec)
     with pytest.raises(ResourceError, match=r"d=256 .*GB"):
         analyze_chain(ChainSpec(8, 1.0, 1.0, sector="full"))
+    # At h_x = 0 analyze_chain builds no matrix: its 2^8 levels take
+    # 256 * 22 bytes, which its own check compares with the memory.
+    rec = analyze_chain(ChainSpec(8, 0.0, 2.0, sector="full"))
+    assert rec.method == "free_fermion" and rec.dense_dim is None
+    assert len(rec.mode_energies) == 8 and len(rec.eigenvalues) == 256
+    monkeypatch.setattr(spinchain, "_physical_memory_bytes", lambda: 5_000)
+    with pytest.raises(ResourceError, match=r"2\^8 free-fermion levels .*GB"):
+        analyze_chain(ChainSpec(8, 0.0, 2.0, sector="full"))
     monkeypatch.setattr(spinchain, "_physical_memory_bytes", lambda: None)
     assert build_hamiltonian(ChainSpec(8, 1.0, 1.0, sector="full")).shape \
         == (256, 256)
@@ -498,8 +465,8 @@ def test_analyze_chain_round_trip():
     assert rec.ks_wigner < rec.ks_poisson
     assert len(rec.eigenvalues) == (2 ** 10 + 2 ** 5) // 2
     assert abs(rec.unfolded_spacings.mean() - 1.0) < 0.05
-    # One block at h_x != 0: bitwise the whole sector's spectrum.
-    assert rec.block_dims == (528,)
+    # Dense at h_x != 0: bitwise the whole sector's spectrum.
+    assert (rec.method, rec.dense_dim, rec.mode_energies) == ("dense", 528, None)
     assert rec.eigenvalues.tobytes() == spectrum(10, 1.0, 1.0,
                                                  spec.sector).tobytes()
     unfolded = unfold(rec.eigenvalues)
