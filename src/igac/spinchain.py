@@ -40,16 +40,14 @@ parity sign and the orbit normalisation, so a parity sector never forms
 the 2^n-dimensional H or a projection onto the sector.
 
 At h_x = 0 the chain is the open transverse-field Ising chain, free
-fermions after Jordan-Wigner (Lieb, Schultz & Mattis, Ann. Phys. 16, 407
-(1961); Pfeuty, Ann. Phys. 57, 79 (1970)).  Its mode energies s_0 >= s_1
->= ... are the singular values of the n x n bidiagonal with h_y on the
-diagonal and 1 above it; its levels are E_S = -sum_k s_k + 2 sum_{k in S}
-s_k over the sets S of excited modes.  The ground state is reflection-
-even, mode k alone has parity (-1)^k, and reversing the order of the |S|
-fermions gives the sign (-1)^{|S|(|S|-1)/2}: E_S is reflection-even
-exactly when sum_{k in S} k + |S|(|S|-1)/2 is even.  So ``analyze_chain``
-enumerates h_x = 0 sectors from the n mode energies without a matrix;
-``build_hamiltonian`` stays the dense oracle the enumeration is tested on.
+fermions (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961); Pfeuty,
+Ann. Phys. 57, 79 (1970)).  With s_0 >= s_1 >= ... the singular values of
+the bidiagonal with h_y on the diagonal and 1 above it, its levels are
+E_S = -sum_k s_k + 2 sum_{k in S} s_k over the sets S of excited modes,
+and E_S is reflection-even exactly when sum_{k in S} k + |S|(|S|-1)/2 is
+even (mode k alone has parity (-1)^k; the second term is the sign of
+reversing the order of the fermions).  ``analyze_chain`` enumerates these
+levels, with no matrix; the tests check them on ``build_hamiltonian``.
 """
 
 from __future__ import annotations
@@ -96,6 +94,9 @@ class ChainSpec:
         if self.sector not in SECTORS:
             raise ValidationError(
                 f"sector {self.sector!r} not in {SECTORS}", field="sector")
+        for name, value in (("hx", self.h_x), ("hy", self.h_y)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name}={value} is not finite", field=name)
 
 
 def _reverse_bits(states: np.ndarray, n: int) -> np.ndarray:
@@ -426,10 +427,9 @@ def _sector_spectrum(spec: ChainSpec) -> tuple[np.ndarray, tuple | None]:
     """Ascending spectrum of a sector, and the n mode energies s_k when it
     comes from free fermions (h_x = 0, see the module docstring), else None.
 
-    The levels double mode by mode, each gaining -s_k or +s_k; exciting
-    mode k in a set S of size m adds k + m to the parity exponent, so two
-    masks (the parities of |S| and of the exponent) carry all a sector needs.
-    """
+    The levels double mode by mode, each gaining -s_k or +s_k.  Exciting
+    mode k in a set S of size m adds k + m to the parity exponent, so the
+    parities of |S| and of the exponent are all a sector needs."""
     if spec.h_x != 0.0:
         return diagonalize(build_hamiltonian(spec)), None
     _check_resources(spec, dense=False)

@@ -355,6 +355,10 @@ def test_chain_spec_validation():
         ChainSpec(0, 1.0, 1.0)
     with pytest.raises(ValidationError):
         ChainSpec(4, 1.0, 1.0, sector="momentum")
+    # Both paths need finite fields: the mode energies come from an SVD.
+    for h_x, h_y in ((0.0, math.nan), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValidationError, match="is not finite"):
+            ChainSpec(4, h_x, h_y)
 
 
 def test_unfold_picket_fence():
