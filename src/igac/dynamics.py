@@ -296,6 +296,22 @@ def _chart_state(chart: Chart, theta: np.ndarray, *vectors) -> np.ndarray:
                                  for v in vectors])
 
 
+def _checked_inputs(model: ManifoldModel, tol: float, **vectors) -> list[np.ndarray]:
+    """Check an integration's tolerance and return its start vectors as flat
+    arrays, each checked to be finite and of size dim."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}",
+                          parameter="tol")
+    checked = [np.asarray(v, dtype=float).reshape(-1) for v in vectors.values()]
+    for name, arr in zip(vectors, checked):
+        if arr.size != model.dim:
+            raise ShapeError(f"{name} of size {arr.size} does not match dim {model.dim}")
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} must be finite, got {arr.tolist()}",
+                              parameter=name)
+    return checked
+
+
 def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
                        tol: float = 1e-8,
                        samples: int = 512) -> GeodesicTrajectory:
@@ -307,14 +323,10 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
     integrator state (chart coordinates and frame components).
     """
     th0 = model.check_point(theta0)
-    v0 = np.asarray(v0, dtype=float).reshape(-1)
-    if v0.size != model.dim:
-        raise ShapeError(f"velocity of size {v0.size} does not match dim {model.dim}")
-    if not tau_max > 0.0:
-        raise DomainError(f"tau_max must be positive, got {tau_max}",
+    (v0,) = _checked_inputs(model, tol, v0=v0)
+    if not 0.0 < tau_max < math.inf:
+        raise DomainError(f"tau_max must be positive and finite, got {tau_max}",
                           parameter="tau_max")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}", parameter="tol")
     if samples < 2:
         raise DomainError(f"samples must be >= 2, got {samples}",
                           parameter="samples")
@@ -339,11 +351,7 @@ def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
     if traj.model_name != model.name:
         raise ShapeError(
             f"trajectory belongs to model {traj.model_name!r}, not {model.name!r}")
-    dim = model.dim
-    J0 = np.asarray(J0, dtype=float).reshape(-1)
-    dJ0 = np.asarray(dJ0, dtype=float).reshape(-1)
-    if J0.size != dim or dJ0.size != dim:
-        raise ShapeError(f"deviation vectors must have size {dim}")
+    J0, dJ0 = _checked_inputs(model, tol, J0=J0, dJ0=dJ0)
     chart = _chart_of(model)
     y0 = _chart_state(chart, traj.coords[0], traj.velocity[0], J0, dJ0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

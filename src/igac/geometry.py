@@ -9,11 +9,12 @@ reads R^m_{nrs} v^n J^r v^s and negative sectional curvature means
 exponential spreading of nearby geodesics.
 
 Each finite-difference evaluation is one stacked pass: the points and
-every point's own stencil go to the metric in one call, followed by one
-batched inverse.  The curvature stencil of a point (the point and its
-2*dim shifts) gives the connection there (row 0) and the curvature from
-all rows, so connection and curvature together cost one pass.  Steps
-are fd_step * max(1, |theta|), and plain fd_step on log-scale chart
+every point's own stencil are checked against the domain and go to
+``ManifoldModel.metric`` as one stack, followed by one batched inverse.
+The curvature stencil of a point (the point and its 2*dim shifts) gives
+the connection there (row 0) and the curvature from all rows, so
+connection and curvature together cost one pass.  Steps are
+fd_step * max(1, |theta|), and plain fd_step on log-scale chart
 coordinates.  A finite-difference Jacobi right-hand side makes one such
 pass on the chart model.
 """
@@ -42,13 +43,29 @@ def _stencil_metric(model: ManifoldModel, points: np.ndarray,
                     h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g[k] and dg[k, l, m, n] = d g_mn / d theta_l at each row k of
     ``points``, by central differences with steps ``h[k]``; the whole
-    stencil goes to the metric as one stack."""
+    stencil goes to the metric as one stack, once inside the domain."""
     k, dim = points.shape
     shifts = h[:, :, None] * np.eye(dim)  # shifts[k, l] = h[k, l] e_l
     centre = points[:, None, :]
     stencil = np.concatenate([centre, centre + shifts, centre - shifts], axis=1)
-    g = model.metrics(stencil.reshape(-1, dim)).reshape(k, 2 * dim + 1, dim, dim)
+    if not model.contains(stencil):
+        for p in points:  # names a coordinate outside the domain, if any
+            model.check_point(p)
+        raise DomainError(
+            f"point {points[0].tolist()} is closer than the differencing step "
+            f"to the boundary of model {model.name!r}")
+    g = model.metric(stencil.reshape(-1, dim)).reshape(k, 2 * dim + 1, dim, dim)
     return g[:, 0], (g[:, 1:dim + 1] - g[:, dim + 1:]) / (2.0 * h)[:, :, None, None]
+
+
+def _inverse(model: ManifoldModel, g: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The inverse of the metric ``g``, or of each in a stack, at ``theta``."""
+    try:
+        return np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise InversionError(
+            f"metric of model {model.name!r} is singular at {theta.tolist()}"
+        ) from exc
 
 
 def _metric_partials(model: ManifoldModel, theta: np.ndarray,
@@ -62,22 +79,10 @@ def _fd_christoffel(model: ManifoldModel, points: np.ndarray,
                     fd_step: float) -> np.ndarray:
     """Gamma[k, a, b, c] at each row k of ``points`` by central differences."""
     k, dim = points.shape
-    h = _steps(model, points, fd_step)
-    if not model.contains(points, margin=float(h.max())):
-        for p in points:  # names a coordinate outside the domain, if any
-            model.check_point(p)
-        raise DomainError(
-            f"point {points[0].tolist()} is closer than the differencing step "
-            f"to the boundary of model {model.name!r}")
-    g, dg = _stencil_metric(model, points, h)
+    g, dg = _stencil_metric(model, points, _steps(model, points, fd_step))
     # Gamma^a_bc = 1/2 g^{al} (d_b g_lc + d_c g_lb - d_l g_bc)
     bracket = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise InversionError(
-            f"metric of model {model.name!r} is singular near {points[0].tolist()}"
-        ) from exc
+    ginv = _inverse(model, g, points[0])
     return 0.5 * (ginv @ bracket.reshape(k, dim, dim * dim)).reshape(dg.shape)
 
 
@@ -114,16 +119,6 @@ def _fd_tensors(model: ManifoldModel, th: np.ndarray,
     points, h = curvature_stencil(model, th, fd_step)
     gams = _fd_christoffel(model, points, fd_step)
     return gams[0], riemann_from_stencil(gams, h)
-
-
-def _inverse_metric(model: ManifoldModel, theta: np.ndarray) -> np.ndarray:
-    g = model.metric(theta)
-    try:
-        return np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise InversionError(
-            f"metric of model {model.name!r} is singular at {theta.tolist()}"
-        ) from exc
 
 
 def christoffel(model: ManifoldModel, theta,
@@ -200,7 +195,7 @@ def _assemble(model: ManifoldModel, th: np.ndarray, gam: np.ndarray,
     """The report from Gamma and R; ``coarse`` is R at twice the
     differencing step, for the step-halving check (None for closed forms)."""
     g = model.metric(th)
-    ginv = _inverse_metric(model, th)
+    ginv = _inverse(model, g, th)
     ricci = np.einsum("mnms->ns", riem)
     scalar = float(np.einsum("ns,ns->", ginv, ricci))
     consistency = 0.0 if coarse is None else abs(scalar - float(np.einsum(

@@ -43,14 +43,14 @@ class ManifoldModel:
 
     ``metric_fn`` maps a coordinate vector to a symmetric positive
     definite (dim x dim) matrix, and a (k, dim) stack of points to the
-    (k, dim, dim) stack of their metrics, so that finite differences
-    evaluate a whole stencil in one call.  ``christoffel_fn``/
-    ``riemann_fn`` are optional closed forms in the same coordinates:
-    ``geometry`` uses them where given and differences the metric where
-    not, so they are also the oracles of that pipeline; ``sample_box``
-    is a finite per-coordinate box used when drawing random in-domain
-    test points; ``chart`` is the chart geodesics are integrated in and
-    volumes are measured in.
+    (k, dim, dim) stack of their metrics; ``metric`` takes either, so that
+    finite differences evaluate a whole stencil in one call.
+    ``christoffel_fn``/``riemann_fn`` are optional closed forms in the
+    same coordinates: ``geometry`` uses them where given and differences
+    the metric where not, so they are also the oracles of that pipeline;
+    ``sample_box`` is a finite per-coordinate box used when drawing random
+    in-domain test points; ``chart`` is the chart geodesics are integrated
+    in and volumes are measured in.
     """
 
     name: str
@@ -83,11 +83,9 @@ class ManifoldModel:
         fd_step * max(1, |theta|) and 0.0 on logarithms (plain fd_step)."""
         return np.where(self._log_coords or (False,) * self.dim, 0.0, 1.0)
 
-    def _inside(self, arr: np.ndarray, margin: float) -> np.ndarray:
+    def _inside(self, arr: np.ndarray) -> np.ndarray:
         # Open intervals with infinite ends also reject inf and NaN.
         lo, hi = self._bounds
-        if margin:
-            lo, hi = lo + margin, hi - margin
         return (lo < arr) & (arr < hi)
 
     def check_point(self, theta) -> np.ndarray:
@@ -96,7 +94,7 @@ class ManifoldModel:
         if arr.size != self.dim:
             raise ShapeError(
                 f"model {self.name!r} has dim {self.dim}, got point of size {arr.size}")
-        inside = self._inside(arr, 0.0)
+        inside = self._inside(arr)
         if np.count_nonzero(inside) < self.dim:
             i = int(np.argmin(inside))
             lo, hi = self.domain[i]
@@ -106,29 +104,23 @@ class ManifoldModel:
                 parameter=self.coord_names[i])
         return arr
 
-    def contains(self, theta, margin: float = 0.0) -> bool:
+    def contains(self, theta) -> bool:
         """Whether a point, or every row of a stack of points, is inside."""
         arr = np.asarray(theta, dtype=float)
         if self._unbounded and arr.shape[-1:] == (self.dim,):
             return bool(np.isfinite(arr).all())
         return (arr.shape[-1:] == (self.dim,)
-                and np.count_nonzero(self._inside(arr, margin)) == arr.size)
+                and np.count_nonzero(self._inside(arr)) == arr.size)
 
     def metric(self, theta) -> np.ndarray:
-        g = np.asarray(self.metric_fn(np.asarray(theta, dtype=float)), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise ShapeError(
-                f"metric of model {self.name!r} returned shape {g.shape}, "
-                f"expected {(self.dim, self.dim)}")
-        return g
-
-    def metrics(self, points: np.ndarray) -> np.ndarray:
-        """The metric at each row of a (k, dim) stack of points."""
-        g = np.asarray(self.metric_fn(points), dtype=float)
-        if g.shape != (len(points), self.dim, self.dim):
+        """The metric at a point, or at each row of a (k, dim) stack of points."""
+        arr = np.asarray(theta, dtype=float)
+        g = np.asarray(self.metric_fn(arr), dtype=float)
+        expected = (*arr.shape[:-1], self.dim, self.dim)
+        if g.shape != expected:
             raise ShapeError(
                 f"metric of model {self.name!r} returned shape {g.shape} for "
-                f"{len(points)} points, expected {(len(points), self.dim, self.dim)}")
+                f"points of shape {arr.shape}, expected {expected}")
         return g
 
     def random_points(self, count: int, seed: int) -> np.ndarray:

@@ -65,6 +65,7 @@ from .families import EXPONENTIAL, KINDS, WIGNER_DYSON
 SECTORS = ("full", "reflection_even", "reflection_odd")
 DEFAULT_MAX_SPINS = 14
 MAX_SPINS_ENV = "IGAC_MAX_N"
+_FIT_CAP = 0.3  # KS distance above which neither reference law is a tenable fit
 
 
 def max_spins() -> int:
@@ -359,12 +360,11 @@ class LsdResult:
     verdict: str  # "poisson_like" | "wigner_like" | "inconclusive"
 
 
-def lsd_verdict(spacings: np.ndarray, margin: float = 0.01,
-                fit_cap: float = 0.3) -> LsdResult:
+def lsd_verdict(spacings: np.ndarray, margin: float = 0.01) -> LsdResult:
     """Classify unfolded spacings against the two reference laws.
 
     A verdict needs the winning law to beat the other by ``margin`` and
-    to be a tenable fit at all (distance below ``fit_cap``); degenerate
+    to be a tenable fit at all (distance below ``_FIT_CAP``); degenerate
     samples far from both laws come back inconclusive.
     """
     spacings = np.asarray(spacings, dtype=float)
@@ -373,7 +373,7 @@ def lsd_verdict(spacings: np.ndarray, margin: float = 0.01,
             f"verdict needs >= 200 spacings, got {len(spacings)}")
     ks_p = ks_distance(spacings, poisson_spacing_cdf)
     ks_w = ks_distance(spacings, wigner_spacing_cdf)
-    if min(ks_p, ks_w) > fit_cap:
+    if min(ks_p, ks_w) > _FIT_CAP:
         verdict = "inconclusive"
     elif ks_p < ks_w - margin:
         verdict = "poisson_like"

@@ -208,6 +208,13 @@ def test_ige_tau_max_zero(tmp_path, capsys):
     assert json.loads(err.strip().splitlines()[-1])["field"] == "tau_max"
 
 
+def test_geodesic_non_finite_velocity(tmp_path, capsys):
+    rc, err = run(["geodesic", "--manifold", "integrable", "--v0", "nan,1",
+                   "--out", str(tmp_path / "g")], capsys)
+    assert rc == 2
+    assert json.loads(err.strip().splitlines()[-1])["field"] == "v0"
+
+
 def test_chain_small_run(tmp_path):
     out = tmp_path / "c"
     rc = main(["chain", "--n", "10", "--hx", "1", "--hy", "1",

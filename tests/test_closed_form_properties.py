@@ -95,7 +95,7 @@ def test_theta_forms_derived_from_the_chart_match_written_forms(name, data):
         warnings.simplefilter("error")
         assert mdl.metric(theta).tobytes() == g.tobytes()
         assert fisher_metric_closed_form(fam, theta).tobytes() == g.tobytes()
-        assert (mdl.metrics(np.stack([theta, theta])).tobytes()
+        assert (mdl.metric(np.stack([theta, theta])).tobytes()
                 == np.stack([g, g]).tobytes())
         derived = christoffel(mdl, theta), riemann(mdl, theta)
     for new, old in zip(derived, (gam, riem)):

@@ -310,6 +310,36 @@ def test_geodesic_validation():
         integrate_geodesic(integrable_model(), (1.0, 1.0), (1.0,), 1.0)
 
 
+BASE = integrate_geodesic(integrable_model(), (1.0, 1.0), (1.0, 0.0), 1.0)
+
+
+def jacobi(J0=(0, 1), dJ0=(1, 0), **kw):
+    return lambda m: integrate_jacobi(m, BASE, J0, dJ0, **kw)
+
+
+def geodesic(v0=(1, 0), tau_max=1.0, **kw):
+    return lambda m: integrate_geodesic(m, (1, 1), v0, tau_max, **kw)
+
+
+@pytest.mark.parametrize("call, parameter", [
+    pytest.param(jacobi(tol=0.0), "tol", id="jacobi-tol-0"),
+    pytest.param(jacobi(tol=math.nan), "tol", id="jacobi-tol-nan"),
+    pytest.param(jacobi(tol=-1.0), "tol", id="jacobi-tol-negative"),
+    pytest.param(jacobi(tol=math.inf), "tol", id="jacobi-tol-inf"),
+    pytest.param(jacobi(J0=(math.nan, 1)), "J0", id="jacobi-J0-nan"),
+    pytest.param(jacobi(dJ0=(1, math.inf)), "dJ0", id="jacobi-dJ0-inf"),
+    pytest.param(geodesic(v0=(math.nan, 1)), "v0", id="geodesic-v0-nan"),
+    pytest.param(geodesic(tol=math.inf), "tol", id="geodesic-tol-inf"),
+    pytest.param(geodesic(tau_max=math.inf), "tau_max", id="geodesic-tau-inf"),
+])
+def test_integrators_share_one_input_check(call, parameter):
+    # Invalid tolerances and non-finite start vectors are domain errors at
+    # entry, never a step-size underflow (or, for tau_max = inf, a hang).
+    with pytest.raises(DomainError) as err:
+        call(integrable_model())
+    assert err.value.parameter == parameter
+
+
 def test_flat_jacobi_linear_growth():
     em = euclidean_model(2)
     base = integrate_geodesic(em, (0.0, 0.0), (1.0, 0.0), 10.0, tol=1e-10)

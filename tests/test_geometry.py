@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -155,6 +156,33 @@ def test_scalar_sign_classification():
 def test_fd_step_boundary_guard():
     with pytest.raises(DomainError):
         christoffel(fd_view(integrable_model()), (1e-6, 1.0), fd_step=1e-2)
+
+
+@pytest.mark.parametrize("theta", [(1000.0, 0.0, 0.05), (50.0, 0.0, 0.004)])
+def test_fd_tensors_where_only_the_stencil_fits(theta):
+    # The mu_A step (0.1 and 0.005) exceeds sigma_B, but the sigma_B step
+    # (1e-4) does not: the stencil lies inside the domain, so the finite
+    # differences run and agree with the closed forms to O((h / sigma)^2).
+    mdl = chaotic_model()
+    rtol = 20.0 * (DEFAULT_FD_STEP / theta[2]) ** 2
+    for fn in (christoffel, riemann):
+        np.testing.assert_allclose(fn(fd_view(mdl), theta), fn(mdl, theta),
+                                   rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("fn, reach", [(christoffel, 1), (riemann, 2)])
+def test_stencil_check_is_where_the_stencil_crosses_zero(fn, reach):
+    # Christoffel symbols evaluate the metric one sigma_B step below the
+    # point, the Riemann tensor two; the check is at exactly that reach.
+    fd = fd_view(chaotic_model())
+    sigma = reach * DEFAULT_FD_STEP
+    assert np.isfinite(fn(fd, (1000.0, 0.0, sigma * (1.0 + 1e-9)))).all()
+    for below in (sigma, sigma - 0.5 * DEFAULT_FD_STEP):
+        point = [1000.0, 0.0, below]
+        with pytest.raises(DomainError, match=re.escape(
+                f"point {point} is closer than the differencing step to the "
+                "boundary of model 'chaotic'")):
+            fn(fd, point)
 
 
 # Every model in theta coordinates, and the prebuilt models whose log-scale

@@ -189,7 +189,7 @@ def oracle_log_volume(mdl, start, cur, active, nodes=64):
     wgt = np.prod(np.meshgrid(*weights, indexing="ij"), axis=0).ravel()
     theta = np.where(logs, np.exp(grid), grid)
     jac = np.exp((grid * (logs & active)).sum(axis=1))
-    root_det = np.sqrt(np.linalg.det(mdl.metrics(theta)))
+    root_det = np.sqrt(np.linalg.det(mdl.metric(theta)))
     return math.log(float(np.sum(wgt * root_det * jac)))
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,17 @@ def test_line_element_examples():
 def test_line_element_shape_error():
     with pytest.raises(ShapeError):
         line_element(integrable_model(), (1.0, 1.0), (1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("mdl", ALL_MODELS + tuple(
+    m.chart.model for m in ALL_MODELS), ids=lambda m: m.name)
+def test_metric_on_a_stack_is_bitwise_the_per_point_metrics(mdl):
+    points = np.random.default_rng(5).uniform(0.2, 3.0, (6, mdl.dim))
+    stacked = mdl.metric(points)
+    assert stacked.shape == (6, mdl.dim, mdl.dim)
+    assert stacked.tobytes() == np.stack([mdl.metric(p) for p in points]).tobytes()
+    with pytest.raises(ShapeError):
+        replace(mdl, metric_fn=lambda x: np.eye(mdl.dim)).metric(points)
 
 
 def test_unsupported_family_errors():
