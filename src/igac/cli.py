@@ -291,9 +291,14 @@ def cmd_metric(cfg: dict) -> int:
                     + list(quad.matrix.ravel()) + [rel])
     write_table(out / "metric_grid", cfg["format"], columns, rows)
     max_rel = max(row[-1] for row in rows)
+    quads = [quad for _, quad, _ in results]
     write_json(out / "metric.json", {
         "kind": "metric_check", "family": fam.name,
-        "n_points": len(points), "max_rel_error": float(max_rel)})
+        "n_points": len(points), "max_rel_error": float(max_rel),
+        # The largest refinement residual and node count over the grid.
+        "diagnostics": {
+            "max_error_estimate": max(q.error_estimate for q in quads),
+            "max_nodes": max(q.nodes for q in quads)}})
     if cfg["plot"] and dim == 1:
         xs = [float(p[0]) for p in points]
         ys_closed = [float(r[0][0, 0]) for r in results]

@@ -28,13 +28,16 @@ first-order covariant form,
 with K the covariant rate of J, so flat manifolds give exactly affine
 growth and constant negative curvature gives sinh growth.  Geodesics use
 the chart's constant frame connection ``Chart.omega``, and the deviation
-equation also its curvature ``Chart.curvature``, read once per
-integration.  The deviation equation can instead take omega and R by
-finite differences of the chart metric, as a check on the closed forms:
-each right-hand side then makes one stacked pass over the curvature
-stencil of x (one ``christoffel`` call on a stack of points), which
-yields both.  Each trajectory carries the walk's statistics
-(``SolverStats``).
+equation also its curvature ``Chart.curvature``.  Once per integration
+their nonzero entries (two and four on a Gaussian block, none on a flat
+factor), the frame rates and the chart's box are read as Python scalars;
+each right-hand side then sums those terms in scalar arithmetic, since on
+vectors of length 2 or 3 numpy's per-call overhead would be most of the
+cost.  The deviation equation can instead take omega and R by finite
+differences of the chart metric, as a check on the closed forms: each
+right-hand side then makes one stacked pass over the curvature stencil of
+x (one ``christoffel`` call on a stack of points), which yields both.
+Each trajectory carries the walk's statistics (``SolverStats``).
 """
 from __future__ import annotations
 
@@ -202,56 +205,96 @@ def _chart_of(model: ManifoldModel) -> Chart:
     return model.chart
 
 
-def _frame_tensors(chart: Chart, use_closed_form: bool):
+def _frame_tensors(chart: Chart):
     """Callable (x, lengths=None) -> frame components of the connection and
-    the curvature, NaN at a stage outside the chart or where the chart
-    metric leaves float64's range, which rejects the step.
+    the curvature by finite differences of the chart metric, NaN at a stage
+    outside the chart or where the chart metric leaves float64's range,
+    which rejects the step.
 
-    Closed forms are the chart's own ``omega`` and ``curvature``.  Finite
-    differences make one ``christoffel`` call on the curvature stencil of
-    x in the chart model, which has the chart metric alone: one metric
-    call and one batched inverse give the connection at x (row 0) and the
-    curvature from all rows.
+    One ``christoffel`` call on the curvature stencil of x in the chart
+    model, which has the chart metric alone: one metric call and one
+    batched inverse give the connection at x (row 0) and the curvature
+    from all rows.
     """
     cm = chart.model
     undefined = (np.full((cm.dim,) * 3, np.nan), np.full((cm.dim,) * 4, np.nan))
-    if use_closed_form:
-        forms = chart.omega, chart.curvature
 
-        def tensors(x, lengths=None):
-            return forms if cm.contains(x) else undefined
-    else:
-        def tensors(x, lengths=None):
-            points, h = curvature_stencil(cm, x)
-            try:
-                gams = christoffel(cm, points)
-            except (DomainError, InversionError):
-                return undefined
-            return chart.frame_tensors(x, gams[0], riemann_from_stencil(gams, h),
-                                       lengths)
+    def tensors(x, lengths=None):
+        points, h = curvature_stencil(cm, x)
+        try:
+            gams = christoffel(cm, points)
+        except (DomainError, InversionError):
+            return undefined
+        return chart.frame_tensors(x, gams[0], riemann_from_stencil(gams, h),
+                                   lengths)
 
     return tensors
 
 
-def _geodesic_rhs(chart: Chart):
-    """d(x, w)/dtau on the chart's closed-form connection."""
+def _closed_form_rhs(chart: Chart, jacobi: bool):
+    """d(x, w)/dtau, or d(x, w, J, K)/dtau when ``jacobi``, on the chart's
+    closed-form frame forms, as a list.
+
+    The box of the chart model, the frame rates and the nonzero entries of
+    ``Chart.omega`` and ``Chart.curvature`` are read once, as Python
+    scalars.  Each call then sums dx = E(x) w, dw = -omega(w, w),
+    dJ = K - omega(w, J) and dK = -omega(w, K) - R(J, w)w term by term, each
+    product taken in the order of the dense contractions.  A stage whose x
+    is outside the box (open intervals, so NaN and +-inf are outside) or
+    whose frame lengths overflow gets an all-NaN result, which rejects the
+    step.
+    """
     dim = chart.model.dim
-    tensors = _frame_tensors(chart, use_closed_form=True)
+    size = (4 if jacobi else 2) * dim
+    w, j, k = dim, 2 * dim, 3 * dim  # offsets of w, J and K in y and dy
+    lows, highs = zip(*((float(lo), float(hi)) for lo, hi in chart.model.domain))
+    # e_a = exp(rates[a] . x) on the rows with a nonzero rate, 1 elsewhere.
+    growth = [(a, [(b, r) for b, r in enumerate(row) if r])
+              for a, row in enumerate(chart.rates.tolist()) if any(row)]
+    # omega^a_bc adds -omega w^b w^c to dw^a, and w^b J^c, w^b K^c likewise.
+    connection = [(w + a, w + b, w + c, float(chart.omega[a, b, c]))
+                  for a, b, c in zip(*np.nonzero(chart.omega))]
+    # Rhat^m_nrs adds -Rhat w^s J^r w^n to dK^m.
+    curvature = [(k + m, w + n, j + r, w + s, float(chart.curvature[m, n, r, s]))
+                 for m, n, r, s in zip(*np.nonzero(chart.curvature))]
 
     def rhs(tau, y):
-        x, w = y[:dim], y[dim:]
-        dy = np.empty(2 * dim)
-        dy[:dim] = chart.lengths(x) * w
-        dy[dim:] = -(w @ tensors(x)[0]) @ w
+        y = y.tolist()
+        for lo, xi, hi in zip(lows, y, highs):
+            if not lo < xi < hi:
+                return [math.nan] * size
+        dy = y[w:j] + [0.0] * dim
+        if jacobi:
+            dy += y[k:] + [0.0] * dim
+        try:
+            for a, terms in growth:
+                rate_x = 0.0
+                for b, r in terms:
+                    rate_x += r * y[b]
+                dy[a] = math.exp(rate_x) * dy[a]
+        except OverflowError:
+            return [math.nan] * size
+        for a, b, c, value in connection:
+            t = value * y[b]
+            dy[a] -= t * y[c]
+            if jacobi:  # the same entry with c on the J and K blocks
+                dy[a + dim] -= t * y[c + dim]
+                dy[a + 2 * dim] -= t * y[c + 2 * dim]
+        if jacobi:
+            for m, n, r, s, value in curvature:
+                dy[m] -= value * y[s] * y[r] * y[n]
         return dy
 
     return rhs
 
 
 def _jacobi_rhs(chart: Chart, use_closed_form: bool):
-    """d(x, w, J, K)/dtau with the frame tensors of ``_frame_tensors``."""
+    """d(x, w, J, K)/dtau on the closed forms (``_closed_form_rhs``) or with
+    the frame tensors of ``_frame_tensors``."""
+    if use_closed_form:
+        return _closed_form_rhs(chart, jacobi=True)
     dim = chart.model.dim
-    tensors = _frame_tensors(chart, use_closed_form)
+    tensors = _frame_tensors(chart)
 
     def rhs(tau, y):
         x, w, jac, rate = y[:dim], y[dim:2 * dim], y[2 * dim:3 * dim], y[3 * dim:]
@@ -333,8 +376,8 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
     chart = _chart_of(model)
     grid = np.linspace(0.0, float(tau_max), int(samples))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        states, solver = _integrate_on_grid(
-            _geodesic_rhs(chart), _chart_state(chart, th0, v0), grid, tol)
+        states, solver = _integrate_on_grid(_closed_form_rhs(chart, jacobi=False),
+                                            _chart_state(chart, th0, v0), grid, tol)
         return _result(model, chart, grid, states, solver)
 
 

@@ -291,8 +291,8 @@ def check_params(fam: FamilySpec, theta) -> np.ndarray:
         raise ShapeError(
             f"family {fam.name!r} takes {fam.n_params} parameters "
             f"({', '.join(fam.param_names)}), got {arr.size}")
-    for i, (val, (lo, hi)) in enumerate(zip(arr, fam.param_domain)):
-        if not (lo < val < hi) or not np.isfinite(val):
+    for i, (val, (lo, hi)) in enumerate(zip(arr.tolist(), fam.param_domain)):
+        if not (lo < val < hi) or not math.isfinite(val):
             raise DomainError(
                 f"parameter {fam.param_names[i]}={val!r} outside open interval "
                 f"({lo}, {hi}) for family {fam.name!r}",

@@ -99,7 +99,7 @@ class ManifoldModel:
             i = int(np.argmin(inside))
             lo, hi = self.domain[i]
             raise DomainError(
-                f"coordinate {self.coord_names[i]}={arr[i]!r} outside open "
+                f"coordinate {self.coord_names[i]}={float(arr[i])!r} outside open "
                 f"interval ({lo}, {hi}) of model {self.name!r}",
                 parameter=self.coord_names[i])
         return arr
@@ -140,11 +140,13 @@ class Chart:
     and d(theta)/dtau = theta_lengths(x) * w, and their g-norms use the
     constant diagonal ``frame_metric``.  ``omega`` (nabla_{e_b} e_c =
     omega^a_bc e_a) and ``curvature`` (Rhat^m_nrs) are the frame
-    connection and curvature: constant, read-only, and read once per
-    integration by the closed-form right-hand sides.  ``model`` is the
-    manifold in chart coordinates with the chart metric alone, which
-    ``geometry`` differentiates; ``frame_tensors`` turns those coordinate
-    tensors into frame components.  The coordinate maps, ``lengths``,
+    connection and curvature: constant and read-only.  The closed-form
+    right-hand sides read their nonzero entries once per integration, as
+    Python scalars, and the theta-coordinate forms are derived from them
+    when the model is built.  ``model`` is the manifold in chart
+    coordinates with the chart metric alone, which ``geometry``
+    differentiates; ``frame_tensors`` turns those coordinate tensors into
+    frame components.  The coordinate maps, ``lengths``,
     ``theta_lengths`` and ``norms`` take one point or a stack of points,
     one per row.
     """
@@ -157,7 +159,8 @@ class Chart:
     curvature: np.ndarray
 
     def __post_init__(self):
-        # Every closed-form right-hand side reads these arrays themselves.
+        # The theta forms are derived from these arrays once, and every
+        # closed-form right-hand side reads them at its start: keep them fixed.
         self.omega.flags.writeable = self.curvature.flags.writeable = False
 
     def to_chart(self, theta) -> np.ndarray:

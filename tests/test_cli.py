@@ -34,6 +34,10 @@ def test_metric_grid_csv(tmp_path):
     summary = read_json(out / "metric.json")
     assert summary["kind"] == "metric_check"
     assert summary["max_rel_error"] < 1e-5
+    # The largest quadrature residual and node count over the grid.
+    diagnostics = summary["diagnostics"]
+    assert 0.0 <= diagnostics["max_error_estimate"] <= 1e-8
+    assert diagnostics["max_nodes"] >= 200 and diagnostics["max_nodes"] % 200 == 0
 
 
 def test_metric_gaussian_point_row(tmp_path):
@@ -213,6 +217,20 @@ def test_geodesic_non_finite_velocity(tmp_path, capsys):
                    "--out", str(tmp_path / "g")], capsys)
     assert rc == 2
     assert json.loads(err.strip().splitlines()[-1])["field"] == "v0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["geodesic", "--manifold", "gaussian", "--theta0", "0,-1"],
+     "coordinate sigma=-1.0 outside open interval (0.0, inf) of model 'gaussian'"),
+    (["metric", "--family", "gaussian", "--point", "mu=0,sigma=-1"],
+     "parameter sigma=-1.0 outside open interval (0.0, inf) for family 'gaussian'"),
+], ids=["geodesic", "metric"])
+def test_out_of_domain_value_reads_as_a_float(tmp_path, capsys, argv, message):
+    rc, err = run(argv + ["--out", str(tmp_path / "o")], capsys)
+    assert rc == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["field"] == "sigma"
+    assert payload["message"] == message
 
 
 def test_chain_small_run(tmp_path):

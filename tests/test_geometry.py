@@ -251,7 +251,7 @@ def test_stacked_chart_pass_is_bitwise_the_separate_passes(name, data):
                   else data.draw(st.floats(lo, hi))
                   for log, (lo, hi) in zip(chart.log_scale, mdl.sample_box)])
     gam, riem = separate_passes(chart.model, x, DEFAULT_FD_STEP)
-    omega, curv = _frame_tensors(chart, use_closed_form=False)(x)
+    omega, curv = _frame_tensors(chart)(x)
     expected = chart.frame_tensors(x, gam, riem)
     assert bitwise_equal(omega, expected[0])
     assert bitwise_equal(curv, expected[1])
