@@ -12,7 +12,7 @@ from igac import (DomainError, IgacError, InsufficientDataError, ShapeError,
                   euclidean_model, gaussian_model, integrable_model,
                   integrate_geodesic, integrate_jacobi, model,
                   reverse_initial_conditions)
-from igac.dynamics import _closed_form_rhs, _integrate_on_grid, _jacobi_rhs
+from igac.dynamics import _closed_form_rhs, _integrate_on_grid
 from igac.manifold import Chart, ManifoldModel
 
 SQRT2 = math.sqrt(2.0)
