@@ -24,10 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, geometry, ige, manifold, spinchain, svgplot
-from .errors import (AccuracyError, DomainError, FitError,
-                     InapplicableError, InsufficientDataError, InversionError,
-                     ResourceError, ShapeError, SingularityError,
-                     UnsupportedFamilyError, ValidationError)
+from .errors import IgacError, ValidationError
 from .families import FAMILY_NAMES, family
 from .manifold import MODEL_NAMES, QuadratureSettings
 
@@ -169,10 +166,16 @@ def _parse_grid(text: str, fam) -> list[np.ndarray]:
 def _config_value(flag: argparse.Action, key: str, val):
     """A config-file value, converted and checked as its flag's text would
     be: a switch such as --plot takes a JSON boolean, a typed flag parses
-    the value's text (so 10.7 is no int), and ``choices`` still apply."""
+    the value's text (so 10.7 is no int), a text flag takes a string or
+    null (``report``'s inputs a list of strings), and ``choices`` still
+    apply."""
     try:
         if flag.nargs == 0:
             ok = isinstance(val, bool)
+        elif flag.nargs == "*":
+            ok = isinstance(val, list) and all(isinstance(v, str) for v in val)
+        elif flag.type is None and not (val is None or isinstance(val, str)):
+            ok = False
         else:
             val = val if flag.type is None else flag.type(str(val))
             ok = flag.choices is None or val in flag.choices
@@ -227,9 +230,7 @@ def _require(cfg: dict, key: str):
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    jsonable = {k: (list(v) if isinstance(v, (tuple, list)) else v)
-                for k, v in cfg.items()}
-    write_json(out / "run_config.json", jsonable)
+    write_json(out / "run_config.json", cfg)
     return out
 
 
@@ -242,8 +243,7 @@ def _canonical(cfg: dict, key: str, manifold_name: str, dim: int,
             raise ValidationError(f"--{field} is required for manifold "
                                   f"{manifold_name!r}", field=field)
         return np.array(run[key], dtype=float)
-    vec = np.array(_parse_floats(raw, field) if isinstance(raw, str)
-                   else raw, dtype=float)
+    vec = np.array(_parse_floats(raw, field))
     if vec.size != dim:
         raise ValidationError(
             f"{field} must have {dim} components for manifold "
@@ -331,10 +331,7 @@ def cmd_curvature(cfg: dict) -> int:
             for p, r in zip(points, reports)]
     write_table(out / "curvature_points", cfg["format"], columns, rows)
     write_json(out / "curvature.json", {
-        "kind": "curvature_signs", "manifold": mdl.name,
-        "classification": sign.classification,
-        "scalar_min": sign.scalar_min, "scalar_max": sign.scalar_max,
-        "n_points": sign.n_points})
+        "kind": "curvature_signs", "manifold": mdl.name, **asdict(sign)})
     return EXIT_OK
 
 
@@ -371,8 +368,7 @@ def cmd_geodesic(cfg: dict) -> int:
         "kind": "geodesic", "manifold": mdl.name,
         "final_coords": [float(v) for v in traj.coords[-1]],
         "speed_drift": float(np.max(np.abs(traj.speed - traj.speed[0]))),
-        "diagnostics": {"solver": asdict(traj.solver)},
-        "boundary_event": None})
+        "diagnostics": {"solver": asdict(traj.solver)}})
     if cfg["plot"]:
         series = [(traj.tau_grid, traj.coords[:, i], mdl.coord_names[i], None)
                   for i in range(mdl.dim)]
@@ -395,11 +391,8 @@ def cmd_jacobi(cfg: dict) -> int:
     columns, rows = _trajectory_rows(mdl, traj, with_jacobi=True)
     write_table(out / "jacobi", cfg["format"], columns, rows)
     write_json(out / "jacobi.json", {
-        "kind": "jacobi_fit", "manifold": mdl.name,
-        "lambda_j": est.lambda_j, "fit_r2": est.fit_r2,
-        "window": list(est.window), "n_samples": est.n_samples,
-        "diagnostics": {"solver": asdict(traj.solver)},
-        "boundary_event": None})
+        "kind": "jacobi_fit", "manifold": mdl.name, **asdict(est),
+        "diagnostics": {"solver": asdict(traj.solver)}})
     if cfg["plot"]:
         mask = traj.jacobi_norm > 0
         _write_text(out / "jacobi.svg", svgplot.line_plot(
@@ -422,8 +415,8 @@ def cmd_ige(cfg: dict) -> int:
     write_table(out / "ige_series", cfg["format"], columns, np.column_stack(
         [series.tau_samples, series.volume, series.entropy]))
     write_json(out / "ige.json", {
-        "kind": "ige_fit", "manifold": mdl.name, **fit.to_dict(),
-        "boundary_event": None})
+        "kind": "ige_fit", "manifold": mdl.name, **asdict(fit),
+        "diagnostics": {"solver": asdict(traj.solver)}})
     if cfg["plot"]:
         sel = fit.selected_fit
         xs = series.tau_samples
@@ -620,19 +613,11 @@ _DISPATCH = {
     "report": cmd_report,
 }
 
-_VALIDATION_ERRORS = (ValidationError, DomainError, ShapeError,
-                      UnsupportedFamilyError, InsufficientDataError,
-                      InapplicableError)
-_NUMERICAL_ERRORS = (AccuracyError, SingularityError, InversionError,
-                     FitError, FloatingPointError)
-
-
-def _emit_error(category: str, exc: Exception) -> None:
-    payload = {"error": category, "message": str(exc)}
-    field = getattr(exc, "field", None) or getattr(exc, "parameter", None)
-    if field:
-        payload["field"] = field
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+# Every IgacError derives from exactly one of these built-in classes,
+# which names its category and exit code.
+_CATEGORIES = ((ValueError, "validation", EXIT_VALIDATION),
+               (RuntimeError, "resource", EXIT_RESOURCE),
+               (ArithmeticError, "numerical", EXIT_NUMERICAL))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -644,15 +629,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective_config(parser, argv, args)
         return _DISPATCH[args.command](cfg)
-    except _VALIDATION_ERRORS as exc:
-        _emit_error("validation", exc)
-        return EXIT_VALIDATION
-    except ResourceError as exc:
-        _emit_error("resource", exc)
-        return EXIT_RESOURCE
-    except _NUMERICAL_ERRORS as exc:
-        _emit_error("numerical", exc)
-        return EXIT_NUMERICAL
+    except IgacError as exc:
+        category, code = next((category, code) for base, category, code
+                              in _CATEGORIES if isinstance(exc, base))
+        payload = {"error": category, "message": str(exc)}
+        field = getattr(exc, "field", None) or getattr(exc, "parameter", None)
+        if field:
+            payload["field"] = field
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

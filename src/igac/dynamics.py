@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -70,6 +71,18 @@ _ERR = _B5 - _B4
 _DENSE = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
                    -10690763975 / 1880347072, 701980252875 / 199316789632,
                    -1453857185 / 822651844, 69997945 / 29380423])
+
+
+@dataclass(frozen=True)
+class LineFit:
+    """A least-squares line over the samples of a tau window."""
+
+    slope: float
+    intercept: float
+    r2: float
+    rss: float
+    window: tuple[float, float]
+    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -403,6 +416,32 @@ def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
         return _result(model, chart, traj.tau_grid, states, solver)
 
 
+def fit_window(taus: np.ndarray, values: np.ndarray, window: tuple[float, float],
+               need: int, x: Callable = np.asarray, y: Callable = np.asarray
+               ) -> LineFit:
+    """Least-squares line y(values) = slope * x(taus) + intercept over the
+    samples whose tau lies in ``window``, of which there must be at least
+    ``need``; ``x`` and ``y`` map the windowed taus and values."""
+    w0, w1 = float(window[0]), float(window[1])
+    mask = (taus >= w0) & (taus <= w1)
+    n = int(mask.sum())
+    if n < need:
+        raise InsufficientDataError(
+            f"window [{w0:g}, {w1:g}] holds {n} samples; need >= {need}")
+    xs, ys = x(taus[mask]), y(values[mask])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    rss = float(np.sum((ys - (slope * xs + intercept)) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - rss / ss_tot
+    return LineFit(float(slope), float(intercept), r2, rss, (w0, w1), n)
+
+
+def _log_growth(norms: np.ndarray) -> np.ndarray:
+    if np.any(norms <= 0.0):
+        raise InsufficientDataError("deviation norm vanishes inside the window")
+    return np.log(norms / norms[0])
+
+
 def estimate_lambda_j(traj: GeodesicTrajectory,
                       window: tuple[float, float]) -> LambdaEstimate:
     """Exponential growth rate of the deviation norm over a tau window.
@@ -412,21 +451,8 @@ def estimate_lambda_j(traj: GeodesicTrajectory,
     """
     if traj.jacobi_norm is None:
         raise InsufficientDataError("trajectory carries no deviation field")
-    w0, w1 = float(window[0]), float(window[1])
-    mask = (traj.tau_grid >= w0) & (traj.tau_grid <= w1)
-    if int(mask.sum()) < 10:
-        raise InsufficientDataError(
-            f"window [{w0:g}, {w1:g}] holds {int(mask.sum())} samples; need >= 10")
-    norms = traj.jacobi_norm[mask]
-    if np.any(norms <= 0.0):
-        raise InsufficientDataError("deviation norm vanishes inside the window")
-    taus = traj.tau_grid[mask]
-    y = np.log(norms / norms[0])
-    slope, intercept = np.polyfit(taus, y, 1)
-    resid = y - (slope * taus + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return LambdaEstimate(float(slope), r2, (w0, w1), int(mask.sum()))
+    fit = fit_window(traj.tau_grid, traj.jacobi_norm, window, 10, y=_log_growth)
+    return LambdaEstimate(fit.slope, fit.r2, fit.window, fit.n_samples)
 
 
 def reverse_initial_conditions(traj: GeodesicTrajectory

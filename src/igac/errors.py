@@ -1,7 +1,10 @@
 """Exception hierarchy shared by every module.
 
-The CLI maps these onto its exit-code contract: validation and domain
-problems exit 2, resource limits exit 3, numerical failures exit 4.
+Every error derives from ``IgacError`` and from exactly one built-in
+class, which is its category in the CLI's exit-code contract:
+``ValueError`` for validation and domain problems (exit 2),
+``RuntimeError`` for resource limits (exit 3) and ``ArithmeticError``
+for numerical failures (exit 4).
 """
 
 from __future__ import annotations

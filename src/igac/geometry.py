@@ -14,9 +14,9 @@ every point's own stencil are checked against the domain and go to
 The curvature stencil of a point (the point and its 2*dim shifts) gives
 the connection there (row 0) and the curvature from all rows, so
 connection and curvature together cost one pass.  Steps are
-fd_step * max(1, |theta|), and plain fd_step on log-scale chart
-coordinates.  A finite-difference Jacobi right-hand side makes one such
-pass on the chart model.
+fd_step * max(1, |theta|) on scale coordinates, domain (0, inf), and
+plain fd_step on the others.  A finite-difference Jacobi right-hand side
+makes one such pass on the chart model.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ DEFAULT_FD_STEP = 1e-4
 
 def _steps(model: ManifoldModel, theta: np.ndarray, fd_step: float) -> np.ndarray:
     """Central-difference steps at a point or each row of a stack:
-    fd_step * max(1, |theta|), but plain fd_step on a chart coordinate that
-    is a logarithm, along which the metric varies by the same relative
-    amount per unit at every depth."""
+    fd_step * max(1, |theta|) on a scale coordinate (domain (0, inf)), and
+    plain fd_step on any other, a location or a log-scale chart coordinate."""
     return fd_step * np.maximum(1.0, np.abs(theta) * model._step_scale)
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, FitError, InapplicableError,
-                     InsufficientDataError)
-from .dynamics import GeodesicTrajectory
+from .errors import DomainError, FitError, InapplicableError
+from .dynamics import GeodesicTrajectory, fit_window
 from .manifold import Chart, ManifoldModel
 
 _EXTENT_EPS = 1e-12
@@ -44,10 +43,6 @@ class GrowthFit:
     r2: float
     aic: float
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "slope": self.slope,
-                "intercept": self.intercept, "r2": self.r2, "aic": self.aic}
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -62,13 +57,6 @@ class FitReport:
     @property
     def selected_fit(self) -> GrowthFit:
         return self.linear if self.selected == "linear" else self.logarithmic
-
-    def to_dict(self) -> dict:
-        return {"logarithmic": self.logarithmic.to_dict(),
-                "linear": self.linear.to_dict(),
-                "selected": self.selected,
-                "window": list(self.window),
-                "n_samples": self.n_samples}
 
 
 @dataclass(frozen=True)
@@ -153,17 +141,10 @@ def volume_series(model: ManifoldModel, traj: GeodesicTrajectory) -> IGESeries:
         )
 
 
-def _least_squares(x: np.ndarray, y: np.ndarray, kind: str) -> GrowthFit:
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    rss = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - rss / ss_tot
-    n = len(x)
-    # Least-squares AIC with two fitted coefficients; the floor keeps
-    # log well-defined for numerically exact fits.
-    aic = n * math.log(max(rss, 1e-300) / n) + 4.0
-    return GrowthFit(kind, float(slope), float(intercept), r2, aic)
+def _log_tau(taus: np.ndarray) -> np.ndarray:
+    if np.any(taus <= 0.0):
+        raise DomainError("logarithmic fit needs a window with tau > 0")
+    return np.log(taus)
 
 
 def fit_growth(series: IGESeries, window: tuple[float, float]) -> FitReport:
@@ -172,22 +153,19 @@ def fit_growth(series: IGESeries, window: tuple[float, float]) -> FitReport:
     A degenerate series (a trajectory that explores no volume, such as a
     stationary start) has no entropy to fit and raises FitError.
     """
-    w0, w1 = float(window[0]), float(window[1])
     if series.degenerate:
         raise FitError("series is degenerate (no explored volume)")
-    mask = (series.tau_samples >= w0) & (series.tau_samples <= w1)
-    n = int(mask.sum())
-    if n < 20:
-        raise InsufficientDataError(
-            f"window [{w0:g}, {w1:g}] holds {n} samples; need >= 20")
-    taus = series.tau_samples[mask]
-    ent = series.entropy[mask]
-    if np.any(taus <= 0.0):
-        raise DomainError("logarithmic fit needs a window with tau > 0")
-    log_fit = _least_squares(np.log(taus), ent, "logarithmic")
-    lin_fit = _least_squares(taus, ent, "linear")
+    fits = {}
+    for kind, x in (("logarithmic", _log_tau), ("linear", np.asarray)):
+        fit = fit_window(series.tau_samples, series.entropy, window, 20, x=x)
+        # Least-squares AIC with two fitted coefficients; the floor keeps
+        # log well-defined for numerically exact fits.
+        n = fit.n_samples
+        aic = n * math.log(max(fit.rss, 1e-300) / n) + 4.0
+        fits[kind] = GrowthFit(kind, fit.slope, fit.intercept, fit.r2, aic)
+    log_fit, lin_fit = fits["logarithmic"], fits["linear"]
     selected = "logarithmic" if log_fit.aic <= lin_fit.aic else "linear"
-    return FitReport(log_fit, lin_fit, selected, (w0, w1), n)
+    return FitReport(log_fit, lin_fit, selected, fit.window, fit.n_samples)
 
 
 @dataclass(frozen=True)
@@ -203,11 +181,6 @@ class RateComparison:
     ratio: float
     difference: float
     inconsistent: bool
-
-    def to_dict(self) -> dict:
-        return {"k_ig": self.k_ig, "lambda_j": self.lambda_j,
-                "ratio": self.ratio, "difference": self.difference,
-                "inconsistent": self.inconsistent}
 
 
 def compare_rates(fit: FitReport, lambda_j: float) -> RateComparison:

@@ -50,7 +50,9 @@ class ManifoldModel:
     the metric where not, so they are also the oracles of that pipeline;
     ``sample_box`` is a finite per-coordinate box used when drawing random
     in-domain test points; ``chart`` is the chart geodesics are integrated
-    in and volumes are measured in.
+    in and volumes are measured in.  A coordinate whose domain is (0, inf)
+    is a scale coordinate, which finite differences step relative to its
+    size; the domain alone says which coordinates those are.
     """
 
     name: str
@@ -62,9 +64,6 @@ class ManifoldModel:
     riemann_fn: Callable[[np.ndarray], np.ndarray] | None = None
     sample_box: tuple[tuple[float, float], ...] = field(default=())
     chart: "Chart | None" = None
-    # Which coordinates are logarithms (set by the log-scale chart): finite
-    # differences step them by an absolute amount, not a relative one.
-    _log_coords: tuple[bool, ...] = field(default=(), repr=False)
 
     @cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -79,9 +78,9 @@ class ManifoldModel:
 
     @cached_property
     def _step_scale(self) -> np.ndarray:
-        """Per coordinate, 1.0 where finite differences step by
-        fd_step * max(1, |theta|) and 0.0 on logarithms (plain fd_step)."""
-        return np.where(self._log_coords or (False,) * self.dim, 0.0, 1.0)
+        """1.0 on each scale coordinate (domain (0, inf)), 0.0 elsewhere."""
+        lo, hi = self._bounds
+        return np.where((lo == 0.0) & (hi == math.inf), 1.0, 0.0)
 
     def _inside(self, arr: np.ndarray) -> np.ndarray:
         # Open intervals with infinite ends also reject inf and NaN.
@@ -335,7 +334,6 @@ def _chart(name: str, coord_names: tuple[str, ...],
         domain=tuple((-math.inf, math.inf) if ls else d
                      for d, ls in zip(domain, log_scale)),
         metric_fn=partial(_chart_metric, np.diag(frame_metric), -2.0 * rates),
-        _log_coords=tuple(bool(ls) for ls in log_scale),
     )
     return Chart(chart_model, log_scale, rates, frame_metric, omega, curvature)
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import igac
+from igac import cli
 from igac.cli import main
+from igac.errors import IgacError
 
 
 def run(args, capsys=None):
@@ -130,7 +132,7 @@ def test_geodesic_deep_into_the_gaussian_chart(tmp_path):
     assert rc == 0
     rep = read_json(out / "geodesic.json")
     assert rep["final_coords"] == [0.0, 0.0]
-    assert rep["boundary_event"] is None
+    assert "boundary_event" not in rep
     assert rep["speed_drift"] <= 1e-9 * 1000.0 * np.sqrt(2.0)
 
 
@@ -146,19 +148,17 @@ def test_jacobi_gaussian_lambda(tmp_path):
 
 
 def test_solver_diagnostics_in_trajectory_json(tmp_path):
-    for cmd, name in (("geodesic", "geodesic.json"), ("jacobi", "jacobi.json")):
+    for cmd in ("geodesic", "jacobi", "ige"):
         out = tmp_path / cmd
         assert main([cmd, "--manifold", "chaotic", "--tau-max", "5",
                      "--samples", "64", "--out", str(out)]) == 0
-        solver = read_json(out / name)["diagnostics"]["solver"]
+        rep = read_json(out / f"{cmd}.json")
+        assert "boundary_event" not in rep
+        solver = rep["diagnostics"]["solver"]
         assert set(solver) == {"rhs_calls", "accepted", "rejected", "min_step"}
         assert solver["rhs_calls"] == 1 + 6 * (solver["accepted"]
                                                + solver["rejected"])
         assert 0.0 < solver["min_step"] <= 5.0
-    out = tmp_path / "ige"
-    assert main(["ige", "--manifold", "chaotic", "--tau-max", "5",
-                 "--samples", "64", "--out", str(out)]) == 0
-    assert "diagnostics" not in read_json(out / "ige.json")
 
 
 def test_ige_integrable_logarithmic(tmp_path):
@@ -372,11 +372,20 @@ IGE_RUN = ["ige", "--manifold", "integrable"]
     (["chain", "--n", "8"], {"n": 10.7}),
     (IGE_RUN, {"plot": "no"}),
     (IGE_RUN, {"format": "xml"}),
-], ids=["samples_text", "n_fraction", "plot_text", "format_choice"])
+    (["geodesic", "--manifold", "gaussian"], {"theta0": ["a", "b"]}),
+    (["jacobi", "--manifold", "gaussian"], {"j0": [0, 0]}),
+    (["jacobi", "--manifold", "gaussian"], {"window": [1, 2]}),
+    (["curvature", "--manifold", "gaussian"], {"point": [1, 2]}),
+    (["metric", "--family", "gaussian"], {"point": [1, 2]}),
+    (["report"], {"inputs": [1, 2]}),
+], ids=["samples_text", "n_fraction", "plot_text", "format_choice",
+        "theta0_list", "j0_list", "window_list", "curvature_point_list",
+        "metric_point_list", "inputs_numbers"])
 def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config):
     # A config value passes the type and choices of its flag, as the
-    # flag's own text would; the flag given on the command line does not
-    # mask it.
+    # flag's own text would, and a text flag takes a string (report's
+    # inputs a list of strings); the flag given on the command line does
+    # not mask it.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
@@ -464,6 +473,45 @@ def test_json_format_output(tmp_path):
     assert rc == 0
     data = read_json(out / "metric_grid.json")
     assert data["rows"][0][1] == pytest.approx(0.25)
+
+
+def _igac_errors(cls=IgacError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _igac_errors(sub)
+
+
+# The built-in base class of an IgacError is its category and exit code.
+CATEGORIES = {ValueError: ("validation", 2), RuntimeError: ("resource", 3),
+              ArithmeticError: ("numerical", 4)}
+
+
+@pytest.mark.parametrize("error", sorted(set(_igac_errors()),
+                                         key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_exits_with_the_category_of_its_builtin_base(
+        monkeypatch, capsys, error):
+    (base,) = [b for b in CATEGORIES if issubclass(error, b)]
+    category, code = CATEGORIES[base]
+
+    def fail(cfg):
+        raise error("raised by the command")
+
+    monkeypatch.setitem(cli._DISPATCH, "report", fail)
+    rc, err = run(["report"], capsys)
+    assert rc == code
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload == {"error": category, "message": "raised by the command"}
+
+
+def test_an_error_outside_igac_is_not_caught(monkeypatch):
+    # No catch-all: a bug surfaces as its own traceback, not as exit 4.
+    def fail(cfg):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setitem(cli._DISPATCH, "report", fail)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["report"])
 
 
 def test_unknown_subcommand_exits_2():

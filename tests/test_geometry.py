@@ -170,6 +170,17 @@ def test_fd_tensors_where_only_the_stencil_fits(theta):
                                    rtol=rtol, atol=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_fd_tensors_at_a_location_near_the_float64_limit():
+    # A location coordinate steps by plain fd_step, so the stencil around
+    # mu ~ 1.8e308 stays finite, and the metric does not depend on mu.
+    mdl = gaussian_model()
+    theta = (1.7976e308, 1.0)
+    for fn in (christoffel, riemann):
+        np.testing.assert_allclose(fn(fd_view(mdl), theta), fn(mdl, theta),
+                                   rtol=20.0 * DEFAULT_FD_STEP ** 2, atol=0.0)
+
+
 @pytest.mark.parametrize("fn, reach", [(christoffel, 1), (riemann, 2)])
 def test_stencil_check_is_where_the_stencil_crosses_zero(fn, reach):
     # Christoffel symbols evaluate the metric one sigma_B step below the
