@@ -158,27 +158,24 @@ def test_fd_step_boundary_guard():
         christoffel(fd_view(integrable_model()), (1e-6, 1.0), fd_step=1e-2)
 
 
-@pytest.mark.parametrize("theta", [(1000.0, 0.0, 0.05), (50.0, 0.0, 0.004)])
-def test_fd_tensors_where_only_the_stencil_fits(theta):
-    # The mu_A step (0.1 and 0.005) exceeds sigma_B, but the sigma_B step
-    # (1e-4) does not: the stencil lies inside the domain, so the finite
-    # differences run and agree with the closed forms to O((h / sigma)^2).
-    mdl = chaotic_model()
-    rtol = 20.0 * (DEFAULT_FD_STEP / theta[2]) ** 2
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factory, theta", [
+    (chaotic_model, (1000.0, 0.0, 0.05)),
+    (chaotic_model, (50.0, 0.0, 0.004)),
+    (gaussian_model, (1.7976e308, 1.0)),
+], ids=["theta0", "theta1", "theta2"])
+def test_fd_tensors_where_only_the_stencil_fits(factory, theta):
+    # On the chaotic model the mu_A step (0.1 and 0.005) exceeds sigma_B,
+    # but the sigma_B step (1e-4) does not; on the Gaussian model the
+    # location mu steps by plain fd_step, so its stencil stays finite next
+    # to float64's largest value.  Either way the stencil lies inside the
+    # domain, so the finite differences run, without a warning, and agree
+    # with the closed forms to O((h / sigma)^2).
+    mdl = factory()
+    rtol = 20.0 * (DEFAULT_FD_STEP / theta[-1]) ** 2
     for fn in (christoffel, riemann):
         np.testing.assert_allclose(fn(fd_view(mdl), theta), fn(mdl, theta),
                                    rtol=rtol, atol=0.0)
-
-
-@pytest.mark.filterwarnings("error")
-def test_fd_tensors_at_a_location_near_the_float64_limit():
-    # A location coordinate steps by plain fd_step, so the stencil around
-    # mu ~ 1.8e308 stays finite, and the metric does not depend on mu.
-    mdl = gaussian_model()
-    theta = (1.7976e308, 1.0)
-    for fn in (christoffel, riemann):
-        np.testing.assert_allclose(fn(fd_view(mdl), theta), fn(mdl, theta),
-                                   rtol=20.0 * DEFAULT_FD_STEP ** 2, atol=0.0)
 
 
 @pytest.mark.parametrize("fn, reach", [(christoffel, 1), (riemann, 2)])
