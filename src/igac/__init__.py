@@ -11,14 +11,14 @@ from .errors import (AccuracyError, DomainError, FitError, IgacError,
                      InapplicableError, InsufficientDataError, InversionError,
                      ResourceError, ShapeError, SingularityError,
                      UnsupportedFamilyError, ValidationError)
-from .families import (FamilySpec, ParamPoint, cdf, composite_chaotic,
+from .families import (FamilySpec, cdf, composite_chaotic,
                        composite_integrable, density, exponential_family,
                        family, gaussian_family, log_density, moments,
                        product_family, sample, wigner_dyson_family)
 from .manifold import (ManifoldModel, QuadratureMetric, QuadratureSettings,
                        chaotic_model, euclidean_model,
                        fisher_metric_closed_form, fisher_metric_quadrature,
-                       gaussian_model, integrable_model, line_element, model,
+                       gaussian_model, integrable_model, model,
                        model_from_family)
 from .geometry import (CurvatureReport, SignReport, christoffel, curvature,
                        riemann, scalar_sign_classification)

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -265,8 +266,7 @@ def cmd_metric(cfg: dict) -> int:
     else:
         points = _parse_grid(cfg["grid"], fam)
     settings = QuadratureSettings(nodes=int(cfg["nodes"]),
-                                  tol=float(cfg["quad_tol"]),
-                                  fd_step=float(cfg["fd_step"]))
+                                  tol=float(cfg["quad_tol"]))
 
     def evaluate(theta):
         closed = manifold.fisher_metric_closed_form(fam, theta)
@@ -471,6 +471,20 @@ _REPORT_KINDS = ("metric_check", "curvature_signs", "jacobi_fit", "ige_fit",
                  "chain_verdict")
 
 
+def _input_field(path: Path, obj: dict, kinds: type | tuple, *keys: str):
+    """obj[keys[0]][keys[1]]... if it is one of ``kinds`` (a bool is no
+    number), else a validation error naming the input file and key."""
+    val = obj
+    for key in keys:
+        val = val.get(key) if isinstance(val, dict) else None
+    if isinstance(val, bool) or not isinstance(val, kinds):
+        raise ValidationError(
+            f"input {path}: key {'.'.join(keys)!r} must be "
+            f"{getattr(kinds, '__name__', 'a number')}, got {val!r}",
+            field="inputs")
+    return val
+
+
 def cmd_report(cfg: dict) -> int:
     inputs = cfg["inputs"]
     if not inputs:
@@ -482,37 +496,42 @@ def cmd_report(cfg: dict) -> int:
         if not path.exists():
             raise ValidationError(f"missing input file: {path}", field="inputs")
         try:
-            payloads.append(json.loads(path.read_text(encoding="utf-8")))
+            obj = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"input {path} is not valid JSON: {exc}",
                                   field="inputs")
+        if not isinstance(obj, dict):
+            raise ValidationError(f"input {path} must hold a JSON object",
+                                  field="inputs")
+        payloads.append((path, obj))
+    number = (int, float)
     manifolds: dict[str, dict] = {}
     chains: dict[str, str] = {}
     metrics: dict[str, dict] = {}
     seen = set()
-    for obj in payloads:
+    for path, obj in payloads:
         kind = obj.get("kind")
         if kind not in _REPORT_KINDS:
             continue
         seen.add(kind)
+        field = partial(_input_field, path, obj)
         if kind == "metric_check":
-            metrics[obj.get("family", "?")] = {
-                "max_rel_error": obj.get("max_rel_error"),
-                "n_points": obj.get("n_points")}
+            metrics[field(str, "family")] = {
+                "max_rel_error": field(number, "max_rel_error"),
+                "n_points": field(int, "n_points")}
         elif kind == "curvature_signs":
-            manifolds.setdefault(obj.get("manifold", "?"), {})[
-                "scalar_sign"] = obj.get("classification")
+            manifolds.setdefault(field(str, "manifold"), {})[
+                "scalar_sign"] = field(str, "classification")
         elif kind == "jacobi_fit":
-            manifolds.setdefault(obj.get("manifold", "?"), {})[
-                "lambda_j"] = obj.get("lambda_j")
+            manifolds.setdefault(field(str, "manifold"), {})[
+                "lambda_j"] = field(number, "lambda_j")
         elif kind == "ige_fit":
-            entry = manifolds.setdefault(obj.get("manifold", "?"), {})
-            entry["ige"] = obj.get("selected")
-            sel = obj.get(obj.get("selected", ""), {})
-            entry["ige_rate"] = sel.get("slope")
+            entry = manifolds.setdefault(field(str, "manifold"), {})
+            entry["ige"] = selected = field(str, "selected")
+            entry["ige_rate"] = field(number, selected, "slope")
         elif kind == "chain_verdict":
-            key = f"({obj.get('h_x'):g},{obj.get('h_y'):g})"
-            chains[key] = obj.get("verdict")
+            key = f"({field(number, 'h_x'):g},{field(number, 'h_y'):g})"
+            chains[key] = field(str, "verdict")
     missing = [k for k in _REPORT_KINDS if k not in seen]
     out = _out_dir(cfg)
     report = {"kind": "report", "manifolds": manifolds, "chain": chains,
@@ -550,8 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial quadrature nodes")
     p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-8,
                    help="quadrature refinement tolerance")
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-5,
-                   help="relative central-difference step")
 
     p = sub.add_parser("curvature", parents=[common],
                        help="curvature tensors and scalar-sign classification")

@@ -95,7 +95,7 @@ def _wigner_dyson_log_density(theta, o, x):
 
 def _gaussian_log_density(theta, o, x):
     mu, sigma = theta[o], theta[o + 1]
-    return (-0.5 * math.log(2.0 * math.pi * sigma * sigma)
+    return (-0.5 * np.log(2.0 * math.pi * sigma * sigma)
             - (x - mu) ** 2 / (2.0 * sigma * sigma))
 
 
@@ -132,7 +132,7 @@ KINDS = {rec.kind: rec for rec in (
     AtomicKind(
         EXPONENTIAL, (_POS,), HALFLINE, (_SCALE_BOX,),
         log_density=lambda theta, o, x: np.where(
-            x >= 0.0, -x / theta[o] - math.log(theta[o]), -math.inf),
+            x >= 0.0, -x / theta[o] - np.log(theta[o]), -math.inf),
         moments=lambda theta, o: (theta[o], theta[o] ** 2),
         sample=lambda theta, o, count, rng: (
             -theta[o] * np.log1p(-rng.random(count))),
@@ -196,24 +196,14 @@ class FamilySpec:
         return self.factors or (self,)
 
 
-@dataclass(frozen=True)
-class ParamPoint:
-    """An ordered macrostate vector tied to a family's parameter list."""
-
-    values: tuple[float, ...]
-
-    @classmethod
-    def for_family(cls, family: FamilySpec, values) -> "ParamPoint":
-        arr = check_params(family, values)
-        return cls(tuple(float(v) for v in arr))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _atomic_family(kind: str, params: tuple[str, ...], name: str) -> FamilySpec:
     rec = KINDS[kind]
-    return FamilySpec(name, kind, params, rec.param_domain, (rec.support,))
+    if (not isinstance(params, (tuple, list)) or len(params) != rec.n_params
+            or not all(isinstance(p, str) for p in params)):
+        raise ShapeError(f"a {kind} family takes {rec.n_params} parameter "
+                         f"name(s), one string each, got {params!r}")
+    return FamilySpec(name, kind, tuple(params), rec.param_domain,
+                      (rec.support,))
 
 
 def exponential_family(param: str = "mu", name: str = EXPONENTIAL) -> FamilySpec:
@@ -284,8 +274,6 @@ def family(name: str) -> FamilySpec:
 
 def check_params(fam: FamilySpec, theta) -> np.ndarray:
     """Validate a parameter point, naming the offending parameter on failure."""
-    if isinstance(theta, ParamPoint):
-        theta = theta.values
     arr = np.asarray(theta, dtype=float).reshape(-1)
     if arr.size != fam.n_params:
         raise ShapeError(

@@ -211,12 +211,10 @@ class Chart:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Node count, refinement and differencing controls for the metric integral."""
+    """Initial node count and refinement tolerance for the metric integral."""
 
     nodes: int = 200
     tol: float = 1e-8
-    max_doublings: int = 5
-    fd_step: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -228,29 +226,20 @@ class QuadratureMetric:
     nodes: int
 
 
-def _param_steps(rec: AtomicKind, params: np.ndarray, rel: float) -> np.ndarray:
-    """Central-difference steps, shrunk to stay inside the open domain."""
-    steps = rel * np.maximum(1.0, np.abs(params))
-    for i, (lo, hi) in enumerate(rec.param_domain):
-        room = min(params[i] - lo, hi - params[i])
-        if np.isfinite(room):
-            steps[i] = min(steps[i], 0.4 * room)
-    return steps
+# Node doublings before the refinement gives up.
+_MAX_DOUBLINGS = 5
+# Complex step of the scores: absolute on a location, relative to |theta|
+# on a scale.  No difference is formed, so it is exact to rounding at any
+# size this small.
+_SCORE_STEP = 1e-20
 
 
-def _fisher_block_at(rec: AtomicKind, params: np.ndarray, nodes: int,
-                     fd_step: float) -> np.ndarray:
+def _fisher_block_at(rec: AtomicKind, params: np.ndarray,
+                     nodes: int) -> np.ndarray:
     x, w = support_rule(rec.support, nodes)
-    steps = _param_steps(rec, params, fd_step)
-    scores = []
-    for i in range(rec.n_params):
-        hi_p = params.copy()
-        lo_p = params.copy()
-        hi_p[i] += steps[i]
-        lo_p[i] -= steps[i]
-        dlog = (rec.log_density(hi_p, 0, x)
-                - rec.log_density(lo_p, 0, x)) / (2.0 * steps[i])
-        scores.append(dlog)
+    steps = _SCORE_STEP * np.where(rec.log_scale, np.abs(params), 1.0)
+    scores = [rec.log_density(params + dz, 0, x).imag / h
+              for dz, h in zip(np.diag(1j * steps), steps)]
     p_x = np.exp(rec.log_density(params, 0, x))
     g = np.empty((rec.n_params, rec.n_params))
     for i in range(rec.n_params):
@@ -262,10 +251,10 @@ def _fisher_block_at(rec: AtomicKind, params: np.ndarray, nodes: int,
 def _refined_block(rec: AtomicKind, params: np.ndarray,
                    settings: QuadratureSettings) -> tuple[np.ndarray, float, int]:
     nodes = settings.nodes
-    prev = cur = _fisher_block_at(rec, params, nodes, settings.fd_step)
-    for _ in range(settings.max_doublings):
+    prev = cur = _fisher_block_at(rec, params, nodes)
+    for _ in range(_MAX_DOUBLINGS):
         nodes *= 2
-        cur = _fisher_block_at(rec, params, nodes, settings.fd_step)
+        cur = _fisher_block_at(rec, params, nodes)
         diff = float(np.linalg.norm(cur - prev))
         if diff <= settings.tol * max(1.0, float(np.linalg.norm(cur))):
             return cur, diff, nodes
@@ -280,11 +269,13 @@ def fisher_metric_quadrature(fam: FamilySpec, theta,
                              ) -> QuadratureMetric:
     """Metric from the defining integral E[d_i log p  d_j log p].
 
-    Parameter derivatives use central differences; the microvariable
-    integral uses Gauss-Legendre nodes under the support transforms,
-    refined by node doubling until successive estimates agree.  Factor
-    independence makes composite metrics exactly block-diagonal, so
-    each factor's block is integrated separately.
+    Each score d_i log p is the complex-step derivative
+    Im log p(theta + i h e_i) / h, which forms no difference and so is
+    exact to rounding; p itself is taken at the real theta.  The
+    microvariable integral uses Gauss-Legendre nodes under the support
+    transforms, refined by node doubling until successive estimates
+    agree.  Factor independence makes composite metrics exactly
+    block-diagonal, so each factor's block is integrated separately.
     """
     th = check_params(fam, theta)
     settings = settings or QuadratureSettings()
@@ -292,22 +283,11 @@ def fisher_metric_quadrature(fam: FamilySpec, theta,
     errs, max_nodes = [0.0], [settings.nodes]
     for rec, o in factor_layout(fam):
         k = rec.n_params
-        block, err, nodes = _refined_block(rec, th[o:o + k].copy(), settings)
+        block, err, nodes = _refined_block(rec, th[o:o + k], settings)
         g[o:o + k, o:o + k] = block
         errs.append(err)
         max_nodes.append(nodes)
     return QuadratureMetric(g, max(errs), max(max_nodes))
-
-
-def line_element(model: ManifoldModel, theta, dtheta) -> float:
-    """Squared length dtheta . g(theta) . dtheta of a displacement."""
-    th = model.check_point(theta)
-    d = np.asarray(dtheta, dtype=float).reshape(-1)
-    if d.size != model.dim:
-        raise ShapeError(
-            f"displacement of size {d.size} does not match dim {model.dim}")
-    g = model.metric(th)
-    return float(d @ g @ d)
 
 
 # ---------------------------------------------------------------------------

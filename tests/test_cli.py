@@ -35,7 +35,7 @@ def test_metric_grid_csv(tmp_path):
     np.testing.assert_allclose(closed, [1.0, 0.25, 1.0 / 9.0, 0.0625])
     summary = read_json(out / "metric.json")
     assert summary["kind"] == "metric_check"
-    assert summary["max_rel_error"] < 1e-5
+    assert summary["max_rel_error"] < 1e-12
     # The largest quadrature residual and node count over the grid.
     diagnostics = summary["diagnostics"]
     assert 0.0 <= diagnostics["max_error_estimate"] <= 1e-8
@@ -69,7 +69,8 @@ def test_metric_requires_point_or_grid(tmp_path, capsys):
 @pytest.mark.parametrize("argv, key", [
     (["metric", "--family", "gaussian", "--point", "mu=0,sigma=1"], "jobs"),
     (["ige", "--manifold", "integrable", "--tau-max", "5"], "quad_nodes"),
-], ids=["jobs", "quad_nodes"])
+    (["metric", "--family", "gaussian", "--point", "mu=0,sigma=1"], "fd_step"),
+], ids=["jobs", "quad_nodes", "fd_step"])
 def test_jobs_option_removed(tmp_path, capsys, argv, key):
     flag = "--" + key.replace("_", "-")
     rc, err = run(argv + ["--out", str(tmp_path / "a"), flag, "2"], capsys)
@@ -319,6 +320,29 @@ def test_report_missing_path(tmp_path, capsys):
     rc, err = run(["report", str(missing), "--out", str(tmp_path / "r")], capsys)
     assert rc == 2
     assert str(missing) in err
+
+
+@pytest.mark.parametrize("payload, key", [
+    ([1, 2], None),
+    ({"kind": "chain_verdict", "h_y": 2.0, "verdict": "poisson_like"}, "h_x"),
+    ({"kind": "ige_fit", "selected": "linear", "linear": 3}, "manifold"),
+    ({"kind": "ige_fit", "manifold": "chaotic", "selected": "linear",
+      "linear": 3}, "linear.slope"),
+], ids=["array", "chain_without_h_x", "ige_without_manifold",
+        "ige_selected_not_object"])
+def test_report_rejects_a_malformed_input(tmp_path, capsys, payload, key):
+    # Each field is checked where report reads it: the run exits 2 naming
+    # the input file and key, before any output is written.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "r"
+    rc, err = run(["report", str(bad), "--out", str(out)], capsys)
+    assert rc == 2
+    error = json.loads(err.strip().splitlines()[-1])
+    assert error["error"] == "validation"
+    assert str(bad) in error["message"]
+    assert key is None or repr(key) in error["message"]
+    assert not out.exists()
 
 
 def test_report_partial_inputs_marks_missing(tmp_path):

@@ -40,7 +40,7 @@ def test_metric_matches_quadrature(name, data):
     closed = fisher_metric_closed_form(fam, theta)
     assert closed.tobytes() == mdl.metric(theta).tobytes()
     quad = fisher_metric_quadrature(fam, theta).matrix
-    assert np.linalg.norm(quad - closed) / np.linalg.norm(closed) < 1e-5
+    assert np.linalg.norm(quad - closed) / np.linalg.norm(closed) < 1e-12
 
 
 def theta_forms_written_out(fam, theta):

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from igac import (DomainError, ShapeError, UnsupportedFamilyError, cdf,
                   density, family, log_density, moments, product_family,
                   sample)
-from igac.families import ParamPoint, exponential_family
+from igac.families import exponential_family, gaussian_family
 from igac.quadrature import support_rule
 
 ALL_NAMES = ("exponential", "gaussian", "wigner_dyson", "poisson_spacing",
@@ -184,15 +184,12 @@ def test_unknown_family():
         family("brody")
 
 
-def test_param_point_validation():
-    fam = family("gaussian")
-    pt = ParamPoint.for_family(fam, (0.5, 1.5))
-    assert pt.values == (0.5, 1.5)
-    assert density(fam, pt, 0.0) > 0
-    with pytest.raises(DomainError):
-        ParamPoint.for_family(fam, (0.5, -1.0))
-    with pytest.raises(ShapeError):
-        ParamPoint.for_family(fam, (0.5,))
+@pytest.mark.parametrize("params", ["b", "bc", ("b",), ("b", "c", "d"),
+                                    ("b", 2), 3])
+def test_atomic_family_takes_one_name_per_parameter(params):
+    with pytest.raises(ShapeError, match="one string each"):
+        gaussian_family(params)
+    assert gaussian_family(["b", "c"]).param_names == ("b", "c")
 
 
 def test_product_family_of_three_exponentials():
