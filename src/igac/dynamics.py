@@ -18,7 +18,11 @@ constant.
 The stepper is the Dormand-Prince 5(4) pair under mixed absolute/relative
 error control.  Inputs are validated once at entry, steps follow the
 tolerance alone, and samples come from the pair's continuous extension
-(Hairer, Norsett & Wanner, Solving ODEs I, II.6).  A stage that leaves
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6).  The walk records each
+accepted step that spans grid nodes and fills those nodes in batches, one
+vectorised evaluation of the extension per batch of about 256 nodes and
+one at the end, with the per-step arithmetic, so the samples are bitwise
+those of filling each step as it is taken.  A stage that leaves
 the chart or float64's range rejects the step; the step-size floor then
 raises SingularityError.  Deviation vectors are co-integrated in
 first-order covariant form,
@@ -139,16 +143,32 @@ class GeodesicTrajectory:
         return len(self.tau_grid)
 
 
-def _dense(y0: np.ndarray, y1: np.ndarray, ks: np.ndarray, h: float,
-           s: np.ndarray) -> np.ndarray:
-    """States at step fractions ``s`` of the step from y0 to y1."""
-    ydiff = y1 - y0
-    bspl = h * ks[0] - ydiff
-    r4 = ydiff - h * ks[6] - bspl
+# Grid nodes whose states may wait for the batched continuous extension;
+# bounds the steps held for it.
+_FILL_BATCH = 256
+
+
+def _fill_dense(out: np.ndarray, grid: np.ndarray, steps: list) -> None:
+    """Fill the grid nodes spanned by consecutive accepted steps from the
+    pair's continuous extension, vectorised over the steps.
+
+    Each step is (first node, stop, tau, h, y0, y1, ks), and together they
+    span the nodes first[0] to stop[-1]; every node gets the step
+    fraction s = (grid - tau) / h of its own step.
+    """
+    first, stop, tau, h, y0, y1, ks = zip(*steps)
+    at = np.repeat(np.arange(len(steps)), np.subtract(stop, first))
+    h = np.array(h)[:, None]
+    y0, ks = np.array(y0), np.array(ks)
+    ydiff = np.array(y1) - y0
+    bspl = h * ks[:, 0] - ydiff
+    r4 = ydiff - h * ks[:, 6] - bspl
     r5 = h * (_DENSE @ ks)
-    s = s[:, None]
+    nodes = slice(first[0], stop[-1])
+    s = ((grid[nodes] - np.array(tau)[at]) / h[at, 0])[:, None]
     s1 = 1.0 - s
-    return y0 + s * (ydiff + s1 * (bspl + s * (r4 + s1 * r5)))
+    out[nodes] = y0[at] + s * (ydiff[at] + s1 * (
+        bspl[at] + s * (r4[at] + s1 * r5[at])))
 
 
 def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float
@@ -156,11 +176,13 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float
     """Adaptive Dormand-Prince walk: the state at every grid node, and the
     walk's statistics.
 
-    Steps follow the error control alone; each accepted step fills the
-    grid nodes it spans from the continuous extension.  A NaN or inf
-    error estimate rejects the step and shrinks it, so a state that
-    leaves float64's range ends in SingularityError once the step falls
-    below the floor, 1e-14 of the span (at least 1e-14).
+    Steps follow the error control alone.  Each accepted step that spans
+    grid nodes is recorded, and the recorded steps' nodes are filled from
+    the continuous extension in one batch once ``_FILL_BATCH`` nodes wait,
+    and at the end of the walk.  A NaN or inf error estimate rejects the
+    step and shrinks it, so a state that leaves float64's range ends in
+    SingularityError once the step falls below the floor, 1e-14 of the
+    span (at least 1e-14).
     """
     atol = rtol = float(tol)
     y = np.array(y0, dtype=float)
@@ -174,6 +196,7 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float
     stages = [(s, _A[s], ks[:s], _C[s]) for s in range(1, 7)]  # ks[:s] a view
     ks[0] = rhs(tau, y)
     filled, calls, accepted, rejected, smallest = 1, 1, 0, 0, math.inf
+    pending = []  # accepted steps whose nodes wait for _fill_dense
     while filled < len(grid):
         last = h >= end - tau
         if last:
@@ -192,8 +215,11 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float
             stop = (len(grid) if last
                     else int(grid.searchsorted(tau + h, side="right")))
             if stop > filled:
-                out[filled:stop] = _dense(y, ys, ks, h, (grid[filled:stop] - tau) / h)
+                pending.append((filled, stop, tau, h, y, ys, ks.copy()))
                 filled = stop
+                if filled - pending[0][0] >= _FILL_BATCH or filled == len(grid):
+                    _fill_dense(out, grid, pending)
+                    pending = []
             tau, y = (end if last else tau + h), ys
             ks[0] = ks[6]  # first same as last, copied out of the stage buffer
         else:

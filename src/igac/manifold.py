@@ -237,7 +237,12 @@ _SCORE_STEP = 1e-20
 def _fisher_block_at(rec: AtomicKind, params: np.ndarray,
                      nodes: int) -> np.ndarray:
     x, w = support_rule(rec.support, nodes)
-    steps = _SCORE_STEP * np.where(rec.log_scale, np.abs(params), 1.0)
+    # Centre the rule on the factor's location (the Gaussian mean; the
+    # spacing laws have none) and stretch it by its scale parameter.
+    is_scale = np.array(rec.log_scale)
+    (scale,) = params[is_scale]
+    x, w = params[~is_scale].sum() + scale * x, scale * w
+    steps = _SCORE_STEP * np.where(is_scale, np.abs(params), 1.0)
     scores = [rec.log_density(params + dz, 0, x).imag / h
               for dz, h in zip(np.diag(1j * steps), steps)]
     p_x = np.exp(rec.log_density(params, 0, x))
@@ -267,27 +272,39 @@ def _refined_block(rec: AtomicKind, params: np.ndarray,
 def fisher_metric_quadrature(fam: FamilySpec, theta,
                              settings: QuadratureSettings | None = None
                              ) -> QuadratureMetric:
-    """Metric from the defining integral E[d_i log p  d_j log p].
+    """Metric from the defining integral E[d_i log p  d_j log p], at a point
+    or at each row of a (k, n_params) stack of points.
 
     Each score d_i log p is the complex-step derivative
     Im log p(theta + i h e_i) / h, which forms no difference and so is
     exact to rounding; p itself is taken at the real theta.  The
     microvariable integral uses Gauss-Legendre nodes under the support
-    transforms, refined by node doubling until successive estimates
-    agree.  Factor independence makes composite metrics exactly
-    block-diagonal, so each factor's block is integrated separately.
+    transforms, centred on the factor's location (the Gaussian mean, 0
+    otherwise) and stretched by its scale parameter, refined by node
+    doubling until successive estimates agree.  Factor independence makes
+    composite metrics exactly block-diagonal, so each factor's block is
+    integrated separately, and within one call once per distinct factor
+    (kind and parameter values): a grid's repeated factor values reuse it.
+    On a stack, ``matrix`` is (k, n_params, n_params) and the error estimate
+    and node count are the largest over the stack.
     """
-    th = check_params(fam, theta)
+    arr = np.asarray(theta, dtype=float)
+    points = [check_params(fam, row) for row in
+              (arr if arr.ndim == 2 else arr[None])]
     settings = settings or QuadratureSettings()
-    g = np.zeros((fam.n_params, fam.n_params))
-    errs, max_nodes = [0.0], [settings.nodes]
-    for rec, o in factor_layout(fam):
-        k = rec.n_params
-        block, err, nodes = _refined_block(rec, th[o:o + k], settings)
-        g[o:o + k, o:o + k] = block
-        errs.append(err)
-        max_nodes.append(nodes)
-    return QuadratureMetric(g, max(errs), max(max_nodes))
+    g = np.zeros((len(points), fam.n_params, fam.n_params))
+    blocks: dict[tuple[str, bytes], tuple[np.ndarray, float, int]] = {}
+    for i, th in enumerate(points):
+        for rec, o in factor_layout(fam):
+            params = th[o:o + rec.n_params]
+            key = (rec.kind, params.tobytes())  # bytes: -0.0 is not 0.0
+            if key not in blocks:
+                blocks[key] = _refined_block(rec, params, settings)
+            g[i, o:o + rec.n_params, o:o + rec.n_params] = blocks[key][0]
+    return QuadratureMetric(
+        g if arr.ndim == 2 else g[0],
+        max([0.0] + [err for _, err, _ in blocks.values()]),
+        max([settings.nodes] + [nodes for _, _, nodes in blocks.values()]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Half-infinite supports (0, inf) are mapped through x = t/(1-t) with
 t in (0, 1); the full real line through x = t/(1-t^2) with t in (-1, 1).
 Both maps are smooth and push the integrand's tail decay onto the
 interval endpoints, so plain Gauss-Legendre nodes converge quickly for
-the exponential-tailed densities used here.
+the exponential-tailed densities used here.  The rules are for a unit
+density at the origin; the Fisher quadrature in ``igac.manifold`` shifts
+and stretches them onto each factor's location and scale.
 """
 
 from __future__ import annotations

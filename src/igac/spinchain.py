@@ -206,9 +206,10 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return _sector_matrix(spec.n, spec.h_x, spec.h_y, spec.sector)
 
 
-# Rows per block of the Hermitian check: bounds its temporary to
-# _CHECK_ROWS x d values instead of two d x d arrays.
-_CHECK_ROWS = 256
+# Side of the square tiles of the Hermitian check: each upper tile is
+# compared with the transpose of its mirror tile, so both reads stay within
+# b rows and the temporary holds b x b values.
+_CHECK_TILE = 128
 
 
 def diagonalize(h: np.ndarray) -> np.ndarray:
@@ -218,13 +219,15 @@ def diagonalize(h: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {h.shape}")
     if h.size == 0:
         return np.array([])
-    for i in range(0, h.shape[0], _CHECK_ROWS):
-        with np.errstate(invalid="ignore"):  # inf - inf: NaN, rejected below
-            block = h[i:i + _CHECK_ROWS] - h[:, i:i + _CHECK_ROWS].conj().T
-        # Written so that NaN (from a NaN or infinite entry) fails too.
-        if not float(np.max(np.abs(block))) <= 1e-12:
-            raise ValidationError(
-                "matrix is not finite and Hermitian within 1e-12")
+    b = _CHECK_TILE
+    for i in range(0, h.shape[0], b):
+        for j in range(i, h.shape[0], b):
+            with np.errstate(invalid="ignore"):  # inf - inf: NaN, rejected below
+                tile = h[i:i + b, j:j + b] - h[j:j + b, i:i + b].conj().T
+            # Written so that NaN (from a NaN or infinite entry) fails too.
+            if not float(np.max(np.abs(tile))) <= 1e-12:
+                raise ValidationError(
+                    "matrix is not finite and Hermitian within 1e-12")
     return np.linalg.eigvalsh(h)
 
 

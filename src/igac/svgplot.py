@@ -79,8 +79,11 @@ class _Canvas:
 
     def polyline(self, xs, ys, color: str, dash: str | None = None,
                  width: float = 1.5):
-        pts = " ".join(f"{self._x(x):.2f},{self._y(y):.2f}"
-                       for x, y in zip(xs, ys))
+        # _x and _y map whole arrays with the scalar operations, elementwise.
+        with np.errstate(invalid="ignore", over="ignore"):
+            px = self._x(np.asarray(xs, dtype=float)).tolist()
+            py = self._y(np.asarray(ys, dtype=float)).tolist()
+        pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(px, py)])
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

@@ -42,6 +42,27 @@ def test_metric_grid_csv(tmp_path):
     assert diagnostics["max_nodes"] >= 200 and diagnostics["max_nodes"] % 200 == 0
 
 
+def test_metric_grid_refines_each_distinct_factor_block_once(tmp_path, monkeypatch):
+    # The README grid has 125 points but 5 values of mu_A and 25 of
+    # (mu_B, sigma_B): 30 distinct factor blocks.
+    refined = []
+    refine = igac.manifold._refined_block
+
+    def counted(rec, params, settings):
+        refined.append((rec.kind, tuple(params)))
+        return refine(rec, params, settings)
+
+    monkeypatch.setattr(igac.manifold, "_refined_block", counted)
+    rc = main(["metric", "--family", "composite_chaotic", "--grid",
+               "mu_A=0.5:2.5:5,mu_B=-1:1:5,sigma_B=0.5:2.5:5",
+               "--out", str(tmp_path / "m")])
+    assert rc == 0
+    assert len(refined) == len(set(refined)) == 30
+    summary = read_json(tmp_path / "m" / "metric.json")
+    assert summary["n_points"] == 125 and summary["max_rel_error"] <= 1e-13
+    assert summary["diagnostics"]["max_nodes"] == 400
+
+
 def test_metric_gaussian_point_row(tmp_path):
     out = tmp_path / "m"
     rc = main(["metric", "--family", "gaussian", "--point", "mu=0,sigma=1",

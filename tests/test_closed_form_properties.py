@@ -43,6 +43,25 @@ def test_metric_matches_quadrature(name, data):
     assert np.linalg.norm(quad - closed) / np.linalg.norm(closed) < 1e-12
 
 
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_quadrature_on_a_stack_is_bitwise_the_per_point_calls(name, data):
+    # Each coordinate of each row takes one of two values, so rows repeat
+    # factor values, which the stacked call integrates once.
+    fam = family(name)
+    mdl = model_from_family(fam)
+    pool = [draw_point(data, mdl) for _ in range(2)]
+    picks = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=mdl.dim,
+                                        max_size=mdl.dim), min_size=1, max_size=6))
+    stack = np.array([[pool[p][c] for c, p in enumerate(row)] for row in picks])
+    got = fisher_metric_quadrature(fam, stack)
+    each = [fisher_metric_quadrature(fam, row) for row in stack]
+    assert got.matrix.tobytes() == np.stack([q.matrix for q in each]).tobytes()
+    assert got.error_estimate == max(q.error_estimate for q in each)
+    assert got.nodes == max(q.nodes for q in each)
+
+
 def theta_forms_written_out(fam, theta):
     """The theta-coordinate metric, Christoffel symbols and Riemann tensor
     of a family, written per factor: c/mu^2 with c = 1 (exponential) or 4

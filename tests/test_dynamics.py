@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from igac import (DomainError, IgacError, InsufficientDataError, ShapeError,
-                  SingularityError, chaotic_model, estimate_lambda_j,
+                  SingularityError, chaotic_model, dynamics, estimate_lambda_j,
                   euclidean_model, gaussian_model, integrable_model,
                   integrate_geodesic, integrate_jacobi, model,
                   reverse_initial_conditions)
@@ -125,6 +125,80 @@ def test_non_finite_derivative_shrinks_the_step_to_singularity():
     tau, state = err.value.last_state
     assert tau <= 3.0 and state[0] == pytest.approx(tau)
     assert len(calls) < 1000
+
+
+def per_step_fill(spans):
+    """The continuous extension filled one step at a time, the reference the
+    batched fill must equal bitwise; records each step's node range."""
+    def fill(out, grid, steps):
+        for first, stop, tau, h, y0, y1, ks in steps:
+            spans.append((first, stop))
+            ydiff = y1 - y0
+            bspl = h * ks[0] - ydiff
+            r4 = ydiff - h * ks[6] - bspl
+            r5 = h * (dynamics._DENSE @ ks)
+            s = ((grid[first:stop] - tau) / h)[:, None]
+            s1 = 1.0 - s
+            out[first:stop] = y0 + s * (ydiff + s1 * (bspl + s * (r4 + s1 * r5)))
+    return fill
+
+
+def walk_or_error(run):
+    try:
+        traj = run()
+    except SingularityError as err:
+        tau, state = err.last_state
+        return str(err), tau, state.tobytes()
+    return (traj.coords.tobytes(), traj.velocity.tobytes(), traj.solver,
+            None if traj.jacobi is None else traj.jacobi.tobytes())
+
+
+@pytest.mark.parametrize("case", ["on_step_ends", "two_samples", "4096_samples",
+                                  "jacobi", "singular"])
+def test_batched_dense_output_is_bitwise_the_per_step_fill(monkeypatch, case):
+    gm = gaussian_model()
+    base = integrate_geodesic(gm, (0.0, 1.0), (1.0, 0.0), 20.0, samples=600)
+    runs = {
+        # Grid nodes 0, 1, ..., 100; the flat walk's steps 1, 5, 25 end on
+        # nodes 1, 6 and 31, so those nodes sit at fraction s = 1.
+        "on_step_ends": lambda: integrate_geodesic(
+            euclidean_model(2), (0.0, 0.0), (1.0, 2.0), 100.0, samples=101),
+        "two_samples": lambda: integrate_geodesic(
+            chaotic_model(), (1.0, 0.0, 1.0), (0.3, 1.0, -0.5), 10.0, samples=2),
+        "4096_samples": lambda: integrate_geodesic(
+            gm, (0.0, 1.0), (3.0, 1.0), 10.0, samples=4096),
+        "jacobi": lambda: integrate_jacobi(gm, base, (0.0, 1.0), (1.0, 0.0),
+                                           tol=1e-10),
+        "singular": lambda: integrate_geodesic(gm, (0.0, 1.0), (0.0, 150.0), 10.0),
+    }
+    batches = []
+    fill = dynamics._fill_dense
+
+    def batched(out, grid, steps):
+        batches.append((steps[0][0], steps[-1][1], len(grid)))
+        fill(out, grid, steps)
+
+    monkeypatch.setattr(dynamics, "_fill_dense", batched)
+    got = walk_or_error(runs[case])
+    spans = []
+    monkeypatch.setattr(dynamics, "_fill_dense", per_step_fill(spans))
+    assert got == walk_or_error(runs[case])
+    if case == "singular":
+        assert isinstance(got[0], str) and "underflowed" in got[0]
+        return
+    # The batches fill every node after the first exactly once, in order,
+    # and none holds more than the batch size plus its last step's nodes.
+    n = batches[-1][2]
+    assert [b[:2] for b in batches] == list(zip(
+        [1] + [b[1] for b in batches[:-1]], [b[1] for b in batches]))
+    assert batches[-1][1] == n and spans[-1][1] == n
+    longest = max(stop - first for first, stop in spans)
+    assert all(stop - first < dynamics._FILL_BATCH + longest
+               for first, stop, _ in batches)
+    if case == "on_step_ends":
+        assert spans[:3] == [(1, 2), (2, 7), (7, 32)]
+    if case == "4096_samples":
+        assert len(batches) > 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -76,6 +76,16 @@ def test_quadrature_grid_agreement():
             assert rel < 1e-12, (name, theta, rel)
 
 
+def test_quadrature_follows_the_gaussian_location_and_scale():
+    # Narrow densities far from the origin: a rule that ignored mu and sigma
+    # would put no node where p > 0 and converge on the zero matrix.
+    fam = family("gaussian")
+    for theta in [(500.0, 1e-3), (0.0, 1e-6), (1e3, 1e-3)]:
+        closed = fisher_metric_closed_form(fam, theta)
+        quad = fisher_metric_quadrature(fam, theta).matrix
+        assert np.linalg.norm(quad - closed) / np.linalg.norm(closed) < 1e-11
+
+
 def test_quadrature_cross_blocks_exactly_zero():
     res = fisher_metric_quadrature(family("composite_chaotic"), (1.3, 0.4, 0.9))
     assert res.matrix[0, 1] == 0.0 and res.matrix[0, 2] == 0.0

@@ -248,12 +248,13 @@ def test_diagonalize_rejects_non_hermitian():
 
 
 def test_diagonalize_checks_every_row_block():
-    # The Hermitian check runs over row blocks; asymmetries deep in the
-    # matrix, where neither entry of the pair lies in the first rows, count.
+    # The Hermitian check runs over tiles; asymmetries deep in the matrix,
+    # where neither entry of the pair lies in the first rows, count, as do
+    # bad entries in an upper or a lower off-diagonal tile.
     rng = np.random.default_rng(11)
     a = rng.normal(size=(600, 600))
     sym = a + a.T
-    for (i, j) in [(599, 3), (599, 300)]:
+    for (i, j) in [(599, 3), (599, 300), (3, 599), (300, 599), (130, 5)]:
         bad = sym.copy()
         bad[i, j] += 1e-9
         with pytest.raises(ValidationError):
@@ -262,10 +263,11 @@ def test_diagonalize_checks_every_row_block():
     within[599, 300] += 1e-13
     assert len(diagonalize(within)) == 600
     for value in (np.nan, np.inf):
-        bad = sym.copy()
-        bad[599, 599] = value
-        with pytest.raises(ValidationError):
-            diagonalize(bad)
+        for (i, j) in [(599, 599), (5, 400), (400, 5)]:
+            bad = sym.copy()
+            bad[i, j] = value
+            with pytest.raises(ValidationError):
+                diagonalize(bad)
 
 
 def test_trace_zero_exact():
