@@ -1,11 +1,12 @@
 """Command-line orchestration: run experiments, persist results, emit plots.
 
 Subcommands: metric, curvature, geodesic, jacobi, ige, chain, report.
-Shared flags (given after the subcommand): --config, --seed, --out,
---format, --plot.  Flag values override config-file values,
-which override built-in defaults; a config-file value passes the type
-and choices of its flag.  The effective configuration is echoed to
-run_config.json in the output directory.
+Shared flags, given after the subcommand and declared only where read:
+--config and --out on all, --format on all but report, --plot on all but
+curvature and report, --seed on curvature.  Flag values override
+config-file values, which override built-in defaults; a config-file
+value passes the type and choices of its flag.  The effective
+configuration is echoed to run_config.json in the output directory.
 
 Exit codes: 0 success, 2 validation error, 3 resource error,
 4 numerical failure.  Errors print a machine-readable JSON object on
@@ -265,8 +266,7 @@ def cmd_metric(cfg: dict) -> int:
         points = [_parse_point(cfg["point"], fam)]
     else:
         points = _parse_grid(cfg["grid"], fam)
-    settings = QuadratureSettings(nodes=int(cfg["nodes"]),
-                                  tol=float(cfg["quad_tol"]))
+    settings = QuadratureSettings(nodes=cfg["nodes"], tol=cfg["quad_tol"])
 
     closed = [manifold.fisher_metric_closed_form(fam, p) for p in points]
     # One call for the whole grid: each distinct factor block is refined once.
@@ -308,12 +308,11 @@ def cmd_curvature(cfg: dict) -> int:
     if cfg["point"] is not None:
         points = [np.array(_parse_floats(cfg["point"], "point"))]
     else:
-        count = int(cfg["sample"])
-        if count < 1:
+        if cfg["sample"] < 1:
             raise ValidationError("--sample must be >= 1", field="sample")
-        points = list(mdl.random_points(count, int(cfg["seed"])))
+        points = list(mdl.random_points(cfg["sample"], cfg["seed"]))
     reports = [geometry.curvature(mdl, p) for p in points]
-    sign = geometry.scalar_sign_classification(reports, atol=float(cfg["atol"]))
+    sign = geometry.scalar_sign_classification(reports, atol=cfg["atol"])
     out = _out_dir(cfg)
     pairs = list(reports[0].sectional)
     columns = [f"{c} (coordinate units)" for c in mdl.coord_names]
@@ -331,9 +330,8 @@ def _run_geodesic(cfg: dict):
     mdl = manifold.model(_require(cfg, "manifold"))
     theta0 = _canonical(cfg, "theta0", mdl.name, mdl.dim, "theta0")
     v0 = _canonical(cfg, "v0", mdl.name, mdl.dim, "v0")
-    traj = dynamics.integrate_geodesic(
-        mdl, theta0, v0, float(cfg["tau_max"]), tol=float(cfg["tol"]),
-        samples=int(cfg["samples"]))
+    traj = dynamics.integrate_geodesic(mdl, theta0, v0, cfg["tau_max"],
+                                       tol=cfg["tol"], samples=cfg["samples"])
     return mdl, traj
 
 
@@ -374,7 +372,7 @@ def cmd_jacobi(cfg: dict) -> int:
     j0 = (np.zeros(mdl.dim) if cfg["j0"] is None
           else np.array(_parse_floats(cfg["j0"], "j0")))
     dj0 = _canonical(cfg, "dj0", mdl.name, mdl.dim, "dj0")
-    traj = dynamics.integrate_jacobi(mdl, base, j0, dj0, tol=float(cfg["tol"]))
+    traj = dynamics.integrate_jacobi(mdl, base, j0, dj0, tol=cfg["tol"])
     tau_max = float(traj.tau_grid[-1])
     window = (_parse_window(cfg["window"], "window")
               if cfg["window"] is not None else (tau_max / 3.0, tau_max))
@@ -397,7 +395,7 @@ def cmd_jacobi(cfg: dict) -> int:
 def cmd_ige(cfg: dict) -> int:
     mdl, traj = _run_geodesic(cfg)
     series = ige.volume_series(mdl, traj)
-    tau_max = float(cfg["tau_max"])
+    tau_max = cfg["tau_max"]
     window = (_parse_window(cfg["window"], "window")
               if cfg["window"] is not None else (tau_max / 10.0, tau_max))
     fit = ige.fit_growth(series, window)
@@ -423,11 +421,11 @@ def cmd_ige(cfg: dict) -> int:
 
 
 def cmd_chain(cfg: dict) -> int:
-    spec = spinchain.ChainSpec(int(cfg["n"]), float(cfg["hx"]),
-                               float(cfg["hy"]), sector=str(cfg["sector"]))
-    record = spinchain.analyze_chain(
-        spec, poly_degree=int(cfg["poly_degree"]),
-        trim_fraction=float(cfg["trim"]), margin=float(cfg["margin"]))
+    spec = spinchain.ChainSpec(cfg["n"], cfg["hx"], cfg["hy"],
+                               sector=cfg["sector"])
+    record = spinchain.analyze_chain(spec, poly_degree=cfg["poly_degree"],
+                                     trim_fraction=cfg["trim"],
+                                     margin=cfg["margin"])
     out = _out_dir(cfg)
     write_table(out / "eigenvalues", cfg["format"],
                 ["index (1-based)", "energy (coupling units)"],
@@ -447,8 +445,7 @@ def cmd_chain(cfg: dict) -> int:
                         "unfold_condition": record.unfold_condition,
                         "trimmed_levels": record.trimmed_levels}})
     if cfg["plot"]:
-        hist = spinchain.spacing_histogram(record.unfolded_spacings,
-                                           int(cfg["bins"]))
+        hist = spinchain.spacing_histogram(record.unfolded_spacings, cfg["bins"])
         grid = np.linspace(0.0, max(4.0, float(hist.edges[-1])), 200)
         _write_text(out / "chain.svg", svgplot.histogram_plot(
             hist.edges, hist.densities,
@@ -537,22 +534,22 @@ def cmd_report(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, default=0,
-                        help="random seed (default %(default)s)")
-    common.add_argument("--out", default="igac-out",
-                        help="output directory (default %(default)s)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config", help="JSON config file")
+    files.add_argument("--out", default="igac-out",
+                       help="output directory (default %(default)s)")
+    tables = argparse.ArgumentParser(add_help=False)
+    tables.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="tabular data format (default %(default)s)")
-    common.add_argument("--plot", action="store_true", help="emit SVG plots")
+    plots = argparse.ArgumentParser(add_help=False)
+    plots.add_argument("--plot", action="store_true", help="emit SVG plots")
 
     parser = argparse.ArgumentParser(
         prog="igac",
         description="Information-geometric chaos laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("metric", parents=[common],
+    p = sub.add_parser("metric", parents=[files, tables, plots],
                        help="Fisher metric: closed form vs quadrature")
     p.add_argument("--family", choices=FAMILY_NAMES)
     p.add_argument("--point", help="name=value,... single parameter point")
@@ -562,19 +559,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-8,
                    help="quadrature refinement tolerance")
 
-    p = sub.add_parser("curvature", parents=[common],
+    p = sub.add_parser("curvature", parents=[files, tables],
                        help="curvature tensors and scalar-sign classification")
     p.add_argument("--manifold", choices=MODEL_NAMES)
     p.add_argument("--point", help="comma-separated coordinates")
     p.add_argument("--sample", type=int, default=50,
                    help="random in-domain points (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the --sample points (default %(default)s)")
     p.add_argument("--atol", type=float, default=1e-5,
                    help="sign-classification tolerance")
 
-    for name, extra, tau_max, samples in (("geodesic", False, 10.0, 512),
-                                          ("jacobi", True, 30.0, 512),
-                                          ("ige", None, 100.0, 1024)):
-        p = sub.add_parser(name, parents=[common])
+    for name, tau_max, samples in (("geodesic", 10.0, 512),
+                                   ("jacobi", 30.0, 512),
+                                   ("ige", 100.0, 1024)):
+        p = sub.add_parser(name, parents=[files, tables, plots])
         p.add_argument("--manifold", choices=MODEL_NAMES)
         p.add_argument("--theta0", help="comma-separated start coordinates")
         p.add_argument("--v0", help="comma-separated start velocity")
@@ -584,14 +583,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="integrator tolerance")
         p.add_argument("--samples", type=int, default=samples,
                        help="grid points recorded")
-        if extra is True:
-            p.add_argument("--j0", help="initial deviation components")
-            p.add_argument("--dj0", help="initial covariant deviation rate")
-            p.add_argument("--window", help="lo:hi fit window for lambda_J")
-        if extra is None:
-            p.add_argument("--window", help="lo:hi fit window")
+    p = sub.choices["jacobi"]
+    p.add_argument("--j0", help="initial deviation components")
+    p.add_argument("--dj0", help="initial covariant deviation rate")
+    p.add_argument("--window", help="lo:hi fit window for lambda_J")
+    sub.choices["ige"].add_argument("--window", help="lo:hi fit window")
 
-    p = sub.add_parser("chain", parents=[common],
+    p = sub.add_parser("chain", parents=[files, tables, plots],
                        help="spin-chain spectrum and spacing statistics")
     p.add_argument("--n", type=int, default=11, help="number of spins")
     p.add_argument("--hx", type=float, default=1.0, help="x field component")
@@ -606,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=40,
                    help="histogram bins for --plot")
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[files],
                        help="bundle prior JSON outputs into one record")
     p.add_argument("inputs", nargs="*", help="paths of prior JSON outputs")
     return parser
@@ -642,9 +640,8 @@ def main(argv: list[str] | None = None) -> int:
         category, code = next((category, code) for base, category, code
                               in _CATEGORIES if isinstance(exc, base))
         payload = {"error": category, "message": str(exc)}
-        field = getattr(exc, "field", None) or getattr(exc, "parameter", None)
-        if field:
-            payload["field"] = field
+        if exc.field:
+            payload["field"] = exc.field
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return code
 

@@ -383,14 +383,14 @@ def _checked_inputs(model: ManifoldModel, tol: float, **vectors) -> list[np.ndar
     arrays, each checked to be finite and of size dim."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}",
-                          parameter="tol")
+                          field="tol")
     checked = [np.asarray(v, dtype=float).reshape(-1) for v in vectors.values()]
     for name, arr in zip(vectors, checked):
         if arr.size != model.dim:
             raise ShapeError(f"{name} of size {arr.size} does not match dim {model.dim}")
         if not np.isfinite(arr).all():
             raise DomainError(f"{name} must be finite, got {arr.tolist()}",
-                              parameter=name)
+                              field=name)
     return checked
 
 
@@ -408,10 +408,10 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
     (v0,) = _checked_inputs(model, tol, v0=v0)
     if not 0.0 < tau_max < math.inf:
         raise DomainError(f"tau_max must be positive and finite, got {tau_max}",
-                          parameter="tau_max")
+                          field="tau_max")
     if samples < 2:
         raise DomainError(f"samples must be >= 2, got {samples}",
-                          parameter="samples")
+                          field="samples")
     chart = _chart_of(model)
     grid = np.linspace(0.0, float(tau_max), int(samples))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -11,15 +11,19 @@ from __future__ import annotations
 
 
 class IgacError(Exception):
-    """Base class for package-specific errors."""
+    """Base class for package-specific errors.
+
+    ``field`` names the input at fault (a parameter, coordinate or
+    configuration key), or is None when no single input is.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DomainError(IgacError, ValueError):
     """A parameter or coordinate lies outside its declared open domain."""
-
-    def __init__(self, message: str, parameter: str | None = None):
-        super().__init__(message)
-        self.parameter = parameter
 
 
 class ShapeError(IgacError, ValueError):
@@ -32,10 +36,6 @@ class UnsupportedFamilyError(IgacError, ValueError):
 
 class ValidationError(IgacError, ValueError):
     """A configuration value failed validation before dispatch."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
 
 
 class InsufficientDataError(IgacError, ValueError):

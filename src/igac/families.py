@@ -108,10 +108,10 @@ def _gaussian_sample(theta, o, count, rng):
 
 
 def _gaussian_cdf(theta, o, x):
-    # Imported here, not with the module: scipy.special adds about 0.1 s
-    # and 6 MB to every process that imports igac, and only this form needs it.
-    from scipy.special import erf
-    return 0.5 * (1.0 + erf((x - theta[o]) / (theta[o + 1] * math.sqrt(2.0))))
+    # 0.5 erfc((mu - x) / (sigma sqrt 2)) by math.erfc per element: erfc keeps
+    # the lower tail's relative accuracy, where 1 + erf cancels to 0.
+    z = (theta[o] - x) / (theta[o + 1] * math.sqrt(2.0))
+    return 0.5 * np.asarray(np.frompyfunc(math.erfc, 1, 1)(z), dtype=float)
 
 
 # Both spacing laws are scale families p(x) = f(x/mu)/mu with the Fisher
@@ -284,7 +284,7 @@ def check_params(fam: FamilySpec, theta) -> np.ndarray:
             raise DomainError(
                 f"parameter {fam.param_names[i]}={val!r} outside open interval "
                 f"({lo}, {hi}) for family {fam.name!r}",
-                parameter=fam.param_names[i])
+                field=fam.param_names[i])
     return arr
 
 

@@ -100,7 +100,7 @@ class ManifoldModel:
             raise DomainError(
                 f"coordinate {self.coord_names[i]}={float(arr[i])!r} outside open "
                 f"interval ({lo}, {hi}) of model {self.name!r}",
-                parameter=self.coord_names[i])
+                field=self.coord_names[i])
         return arr
 
     def contains(self, theta) -> bool:
@@ -261,7 +261,9 @@ def _refined_block(rec: AtomicKind, params: np.ndarray,
         nodes *= 2
         cur = _fisher_block_at(rec, params, nodes)
         diff = float(np.linalg.norm(cur - prev))
-        if diff <= settings.tol * max(1.0, float(np.linalg.norm(cur))):
+        # Relative, and never on a zero block: one that underflowed agrees
+        # with itself at every node count.
+        if cur.any() and diff <= settings.tol * float(np.linalg.norm(cur)):
             return cur, diff, nodes
         prev = cur
     raise AccuracyError(

@@ -91,18 +91,27 @@ def test_metric_requires_point_or_grid(tmp_path, capsys):
     (["metric", "--family", "gaussian", "--point", "mu=0,sigma=1"], "jobs"),
     (["ige", "--manifold", "integrable", "--tau-max", "5"], "quad_nodes"),
     (["metric", "--family", "gaussian", "--point", "mu=0,sigma=1"], "fd_step"),
-], ids=["jobs", "quad_nodes", "fd_step"])
+    (["ige", "--manifold", "integrable", "--tau-max", "5"], "seed"),
+    (["report"], "seed"),
+    (["report"], "format"),
+    (["curvature", "--manifold", "chaotic", "--sample", "3"], "plot"),
+], ids=["jobs", "quad_nodes", "fd_step", "ige_seed", "report_seed",
+        "report_format", "curvature_plot"])
 def test_jobs_option_removed(tmp_path, capsys, argv, key):
+    # Removed options, and shared flags on a command that does not read
+    # them, are unknown both as flags and as config keys.
     flag = "--" + key.replace("_", "-")
     rc, err = run(argv + ["--out", str(tmp_path / "a"), flag, "2"], capsys)
     assert rc == 2
-    assert flag in err
+    assert "unrecognized arguments: " in err and flag in err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: 2}))
     rc, err = run(argv + ["--config", str(cfg), "--out", str(tmp_path / "b")],
                   capsys)
     assert rc == 2
-    assert json.loads(err.strip().splitlines()[-1])["field"] == key
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["field"] == key
+    assert payload["message"].startswith(f"unknown config key {key!r}")
 
 
 def test_curvature_chaotic_negative(tmp_path):
@@ -379,8 +388,7 @@ def test_report_partial_inputs_marks_missing(tmp_path):
 
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    args = ["ige", "--manifold", "integrable", "--tau-max", "40", "--plot",
-            "--seed", "5"]
+    args = ["ige", "--manifold", "integrable", "--tau-max", "40", "--plot"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     for name in ("ige_series.csv", "ige.json", "ige.svg"):
@@ -499,9 +507,11 @@ def test_stationary_ige_is_a_numerical_failure(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only where a computation needs it (scipy.special
-    # in families); at import it would cost most of a process start.
+    # numpy is the only runtime dependency: neither the import nor the
+    # Gaussian sampler and CDF (erfc from the standard library) load scipy.
     code = ("import sys, igac, igac.cli; "
+            "g = igac.family('gaussian'); "
+            "igac.cdf(g, (0.0, 1.0), igac.sample(g, (0.0, 1.0), 10, 0)); "
             "print(sorted(m for m in sys.modules "
             "if m.partition('.')[0] == 'scipy'))")
     src = str(Path(igac.__file__).resolve().parent.parent)

@@ -429,7 +429,7 @@ def geodesic(v0=(1, 0), tau_max=1.0, **kw):
     return lambda m: integrate_geodesic(m, (1, 1), v0, tau_max, **kw)
 
 
-@pytest.mark.parametrize("call, parameter", [
+@pytest.mark.parametrize("call, field", [
     pytest.param(jacobi(tol=0.0), "tol", id="jacobi-tol-0"),
     pytest.param(jacobi(tol=math.nan), "tol", id="jacobi-tol-nan"),
     pytest.param(jacobi(tol=-1.0), "tol", id="jacobi-tol-negative"),
@@ -440,12 +440,12 @@ def geodesic(v0=(1, 0), tau_max=1.0, **kw):
     pytest.param(geodesic(tol=math.inf), "tol", id="geodesic-tol-inf"),
     pytest.param(geodesic(tau_max=math.inf), "tau_max", id="geodesic-tau-inf"),
 ])
-def test_integrators_share_one_input_check(call, parameter):
+def test_integrators_share_one_input_check(call, field):
     # Invalid tolerances and non-finite start vectors are domain errors at
     # entry, never a step-size underflow (or, for tau_max = inf, a hang).
     with pytest.raises(DomainError) as err:
         call(integrable_model())
-    assert err.value.parameter == parameter
+    assert err.value.field == field
 
 
 def test_flat_jacobi_linear_growth():

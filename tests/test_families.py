@@ -51,10 +51,10 @@ def test_density_wigner_dyson_value():
 def test_density_out_of_domain_names_parameter():
     with pytest.raises(DomainError) as err:
         density(family("composite_integrable"), (1.0, -1.0), (0.0, 0.0))
-    assert err.value.parameter == "mu_B"
+    assert err.value.field == "mu_B"
     with pytest.raises(DomainError) as err:
         moments(family("gaussian"), (0.0, 0.0))
-    assert err.value.parameter == "sigma"
+    assert err.value.field == "sigma"
 
 
 def test_density_outside_support_is_zero_not_error():
@@ -171,6 +171,16 @@ def test_sampling_ks_consistency():
         d_plus = np.max(np.arange(1, n + 1) / n - ref)
         d_minus = np.max(ref - np.arange(0, n) / n)
         assert max(d_plus, d_minus) < 0.02, name
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (3.5, 0.2), (-100.0, 40.0)])
+def test_gaussian_cdf_matches_ndtr_into_the_lower_tail(mu, sigma):
+    # Relative accuracy holds deep in the lower tail, where 1 + erf(z)
+    # would cancel to 0 from z ~ -8.4.
+    from scipy.special import ndtr
+    z = np.linspace(-37.0, 8.0, 2001)
+    np.testing.assert_allclose(cdf(family("gaussian"), (mu, sigma), mu + sigma * z),
+                               ndtr(z), rtol=1e-11, atol=0.0)
 
 
 def test_poisson_spacing_alias():

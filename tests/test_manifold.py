@@ -99,6 +99,15 @@ def test_quadrature_nonconvergence_raises_with_estimates():
     assert len(err.value.estimates) == 2
 
 
+@pytest.mark.parametrize("name", ["exponential", "wigner_dyson"])
+def test_quadrature_never_accepts_an_underflowed_block(name):
+    # At mu = 1e150 the block (closed form about 1e-300) underflows to zero,
+    # so successive estimates agree; a small start keeps the doublings cheap.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AccuracyError):
+        fisher_metric_quadrature(family(name), (1e150,),
+                                 QuadratureSettings(nodes=4))
+
+
 def test_positive_definiteness_random_points():
     for mdl in ALL_MODELS:
         for theta in mdl.random_points(100, seed=21):
@@ -130,7 +139,7 @@ def test_model_domain_checks():
     mdl = chaotic_model()
     with pytest.raises(DomainError) as err:
         mdl.check_point((1.0, 0.0, -1.0))
-    assert err.value.parameter == "sigma_B"
+    assert err.value.field == "sigma_B"
     assert mdl.contains((1.0, 0.0, 1.0))
     assert not mdl.contains((1.0, 0.0, 0.0))
 
