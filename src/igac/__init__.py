@@ -15,8 +15,8 @@ from .families import (FamilySpec, cdf, composite_chaotic,
                        composite_integrable, density, exponential_family,
                        family, gaussian_family, log_density, moments,
                        product_family, sample, wigner_dyson_family)
-from .manifold import (ManifoldModel, QuadratureMetric, QuadratureSettings,
-                       chaotic_model, euclidean_model,
+from .manifold import (ManifoldModel, QuadratureMetric, chaotic_model,
+                       euclidean_model,
                        fisher_metric_closed_form, fisher_metric_quadrature,
                        gaussian_model, integrable_model, model,
                        model_from_family)

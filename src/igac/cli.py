@@ -28,7 +28,7 @@ import numpy as np
 from . import dynamics, geometry, ige, manifold, spinchain, svgplot
 from .errors import IgacError, ValidationError
 from .families import FAMILY_NAMES, family
-from .manifold import MODEL_NAMES, QuadratureSettings
+from .manifold import MODEL_NAMES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -266,11 +266,10 @@ def cmd_metric(cfg: dict) -> int:
         points = [_parse_point(cfg["point"], fam)]
     else:
         points = _parse_grid(cfg["grid"], fam)
-    settings = QuadratureSettings(nodes=cfg["nodes"], tol=cfg["quad_tol"])
 
     closed = [manifold.fisher_metric_closed_form(fam, p) for p in points]
-    # One call for the whole grid: each distinct factor block is refined once.
-    quad = manifold.fisher_metric_quadrature(fam, np.array(points), settings)
+    # One call for the whole grid: each kind's block is integrated once.
+    quad = manifold.fisher_metric_quadrature(fam, np.array(points))
     rels = [np.linalg.norm(q - c) / max(np.linalg.norm(c), 1e-300)
             for q, c in zip(quad.matrix, closed)]
 
@@ -288,7 +287,7 @@ def cmd_metric(cfg: dict) -> int:
     write_json(out / "metric.json", {
         "kind": "metric_check", "family": fam.name,
         "n_points": len(points), "max_rel_error": float(max(rels)),
-        # The largest refinement residual and node count over the grid.
+        # The largest quadrature residual over the grid, and the node count.
         "diagnostics": {"max_error_estimate": quad.error_estimate,
                         "max_nodes": quad.nodes}})
     if cfg["plot"] and dim == 1:
@@ -554,10 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILY_NAMES)
     p.add_argument("--point", help="name=value,... single parameter point")
     p.add_argument("--grid", help="name=lo:hi:count,... parameter grid")
-    p.add_argument("--nodes", type=int, default=200,
-                   help="initial quadrature nodes")
-    p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-8,
-                   help="quadrature refinement tolerance")
 
     p = sub.add_parser("curvature", parents=[files, tables],
                        help="curvature tensors and scalar-sign classification")

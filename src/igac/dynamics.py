@@ -280,8 +280,8 @@ def _closed_form_rhs(chart: Chart, jacobi: bool):
     dJ = K - omega(w, J) and dK = -omega(w, K) - R(J, w)w term by term, each
     product taken in the order of the dense contractions.  A stage whose x
     is outside the box (open intervals, so NaN and +-inf are outside) or
-    whose frame lengths overflow gets an all-NaN result, which rejects the
-    step.
+    whose frame length overflows beside a nonzero w_a gets an all-NaN
+    result, which rejects the step; where w_a is exactly 0, dx_a is 0.
     """
     dim = chart.model.dim
     size = (4 if jacobi else 2) * dim
@@ -307,6 +307,8 @@ def _closed_form_rhs(chart: Chart, jacobi: bool):
             dy += y[k:] + [0.0] * dim
         try:
             for a, terms in growth:
+                if not dy[a]:  # w_a = 0 moves nothing, however long e_a is
+                    continue
                 rate_x = 0.0
                 for b, r in terms:
                     rate_x += r * y[b]
@@ -354,11 +356,13 @@ def _jacobi_rhs(chart: Chart, use_closed_form: bool):
 def _result(model: ManifoldModel, chart: Chart, grid: np.ndarray,
             states: np.ndarray, solver: SolverStats) -> GeodesicTrajectory:
     """Trajectory in theta components from chart states (x, w[, J, K]);
-    values beyond float64's range come out as 0.0 or inf."""
+    values beyond float64's range come out as 0.0 or inf, and a zero frame
+    component as 0.0 beside any length."""
     dim = model.dim
     x = states[:, :dim]
     frame = states[:, dim:].reshape(len(states), -1, dim)
-    to_theta = chart.theta_lengths(x)[:, None, :] * frame
+    to_theta = np.where(frame == 0.0, frame,
+                        chart.theta_lengths(x)[:, None, :] * frame)
     norms = chart.norms(frame)
     traj = GeodesicTrajectory(model_name=model.name, tau_grid=grid,
                               coords=chart.from_chart(x), chart_coords=x,
@@ -428,7 +432,10 @@ def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
     ``dJ0`` is the initial covariant rate of the deviation vector.  The
     geodesic is re-integrated jointly with (J, K) on the trajectory's
     own grid; the returned copy carries the deviation components and
-    the pointwise g-norm of J.
+    the pointwise g-norm of J.  The equation is linear in (J, K), so the
+    field is divided by the power of two nearest the larger g-norm of J0
+    and K0 and multiplied back, both exactly: the error control then
+    resolves a field of any size, and one of g-norm near 1 is unchanged.
     """
     if traj.model_name != model.name:
         raise ShapeError(
@@ -436,9 +443,13 @@ def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
     J0, dJ0 = _checked_inputs(model, tol, J0=J0, dJ0=dJ0)
     chart = _chart_of(model)
     y0 = _chart_state(chart, traj.coords[0], traj.velocity[0], J0, dJ0)
+    size = float(np.max(chart.norms(y0[2 * model.dim:].reshape(2, -1))))
+    scale = 2.0 ** round(min(math.log2(size), 1023.0)) if size > 0.0 else 1.0
+    y0[2 * model.dim:] /= scale
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         states, solver = _integrate_on_grid(
             _jacobi_rhs(chart, use_closed_form), y0, traj.tau_grid, tol)
+        states[:, 2 * model.dim:] *= scale
         return _result(model, chart, traj.tau_grid, states, solver)
 
 

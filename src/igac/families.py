@@ -85,18 +85,21 @@ class AtomicKind:
         return tuple(d == _POS for d in self.param_domain)
 
 
+# Both written in x / mu or (x - mu) / sigma and the log of the scale, so
+# no squared parameter leaves float64's range.
+
 def _wigner_dyson_log_density(theta, o, x):
     mu = theta[o]
+    r = x / mu
     with np.errstate(divide="ignore", invalid="ignore"):
-        body = (np.log(np.pi * x / (2.0 * mu * mu))
-                - np.pi * x * x / (4.0 * mu * mu))
+        body = np.log(np.pi * r / 2.0) - np.log(mu) - np.pi * r * r / 4.0
     return np.where(x > 0.0, body, -math.inf)
 
 
 def _gaussian_log_density(theta, o, x):
     mu, sigma = theta[o], theta[o + 1]
-    return (-0.5 * np.log(2.0 * math.pi * sigma * sigma)
-            - (x - mu) ** 2 / (2.0 * sigma * sigma))
+    z = (x - mu) / sigma
+    return -0.5 * math.log(2.0 * math.pi) - np.log(sigma) - 0.5 * z * z
 
 
 def _gaussian_sample(theta, o, count, rng):

@@ -210,42 +210,31 @@ class Chart:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuadratureSettings:
-    """Initial node count and refinement tolerance for the metric integral."""
-
-    nodes: int = 200
-    tol: float = 1e-8
-
-
-@dataclass(frozen=True)
 class QuadratureMetric:
-    """Quadrature estimate of the metric with its refinement residual."""
+    """Quadrature estimate of the metric with its residual."""
 
     matrix: np.ndarray
     error_estimate: float
     nodes: int
 
 
-# Node doublings before the refinement gives up.
-_MAX_DOUBLINGS = 5
-# Complex step of the scores: absolute on a location, relative to |theta|
-# on a scale.  No difference is formed, so it is exact to rounding at any
-# size this small.
+# Node counts of the two rules whose estimates give the block and its
+# residual, and the largest residual accepted, relative to the block.
+_NODES = (200, 400)
+_TOL = 1e-8
+# Complex step of the scores, absolute at the reference point.  No
+# difference is formed, so it is exact to rounding at any size this small.
 _SCORE_STEP = 1e-20
 
 
-def _fisher_block_at(rec: AtomicKind, params: np.ndarray,
-                     nodes: int) -> np.ndarray:
+def _fisher_block_at(rec: AtomicKind, nodes: int) -> np.ndarray:
+    """A kind's Fisher block at its reference point, location 0 and scale 1,
+    on the plain rule of its support."""
+    ref = np.array(rec.log_scale, dtype=float)
     x, w = support_rule(rec.support, nodes)
-    # Centre the rule on the factor's location (the Gaussian mean; the
-    # spacing laws have none) and stretch it by its scale parameter.
-    is_scale = np.array(rec.log_scale)
-    (scale,) = params[is_scale]
-    x, w = params[~is_scale].sum() + scale * x, scale * w
-    steps = _SCORE_STEP * np.where(is_scale, np.abs(params), 1.0)
-    scores = [rec.log_density(params + dz, 0, x).imag / h
-              for dz, h in zip(np.diag(1j * steps), steps)]
-    p_x = np.exp(rec.log_density(params, 0, x))
+    scores = [rec.log_density(ref + dz, 0, x).imag / _SCORE_STEP
+              for dz in np.eye(rec.n_params) * (1j * _SCORE_STEP)]
+    p_x = np.exp(rec.log_density(ref, 0, x))
     g = np.empty((rec.n_params, rec.n_params))
     for i in range(rec.n_params):
         for j in range(i, rec.n_params):
@@ -253,60 +242,52 @@ def _fisher_block_at(rec: AtomicKind, params: np.ndarray,
     return g
 
 
-def _refined_block(rec: AtomicKind, params: np.ndarray,
-                   settings: QuadratureSettings) -> tuple[np.ndarray, float, int]:
-    nodes = settings.nodes
-    prev = cur = _fisher_block_at(rec, params, nodes)
-    for _ in range(_MAX_DOUBLINGS):
-        nodes *= 2
-        cur = _fisher_block_at(rec, params, nodes)
-        diff = float(np.linalg.norm(cur - prev))
-        # Relative, and never on a zero block: one that underflowed agrees
-        # with itself at every node count.
-        if cur.any() and diff <= settings.tol * float(np.linalg.norm(cur)):
-            return cur, diff, nodes
-        prev = cur
-    raise AccuracyError(
-        f"Fisher quadrature for {rec.kind!r} did not converge below "
-        f"{settings.tol:g} at {nodes} nodes", estimates=(prev, cur))
+def _reference_block(rec: AtomicKind) -> tuple[np.ndarray, float]:
+    """A kind's reference block on the finer rule and its residual, the
+    difference from the coarser; AccuracyError unless the residual is within
+    _TOL of the block's norm, and always on a zero block, which a rule that
+    missed the density gives at every node count."""
+    coarse, fine = (_fisher_block_at(rec, nodes) for nodes in _NODES)
+    residual = float(np.linalg.norm(fine - coarse))
+    if not (fine.any() and residual <= _TOL * float(np.linalg.norm(fine))):
+        raise AccuracyError(
+            f"Fisher quadrature for {rec.kind!r}: {_NODES[0]} and {_NODES[1]} "
+            f"nodes differ by {residual:.3g}, more than {_TOL:g} of the "
+            f"block", estimates=(coarse, fine))
+    return fine, residual
 
 
-def fisher_metric_quadrature(fam: FamilySpec, theta,
-                             settings: QuadratureSettings | None = None
-                             ) -> QuadratureMetric:
+def fisher_metric_quadrature(fam: FamilySpec, theta) -> QuadratureMetric:
     """Metric from the defining integral E[d_i log p  d_j log p], at a point
     or at each row of a (k, n_params) stack of points.
 
-    Each score d_i log p is the complex-step derivative
-    Im log p(theta + i h e_i) / h, which forms no difference and so is
-    exact to rounding; p itself is taken at the real theta.  The
-    microvariable integral uses Gauss-Legendre nodes under the support
-    transforms, centred on the factor's location (the Gaussian mean, 0
-    otherwise) and stretched by its scale parameter, refined by node
-    doubling until successive estimates agree.  Factor independence makes
-    composite metrics exactly block-diagonal, so each factor's block is
-    integrated separately, and within one call once per distinct factor
-    (kind and parameter values): a grid's repeated factor values reuse it.
-    On a stack, ``matrix`` is (k, n_params, n_params) and the error estimate
-    and node count are the largest over the stack.
+    Every atomic kind is a location-scale or scale family, so a factor's
+    block at scale s is the kind's block at location 0 and scale 1 divided
+    twice by s.  That reference block is integrated once per kind and call,
+    on the plain rule of its support at 200 and 400 nodes, with each score
+    the complex-step derivative Im log p(theta + i h e_i) / h, exact to
+    rounding; no x - mu difference cancels there.  Composite metrics are
+    exactly block-diagonal.  On a stack, ``matrix`` is (k, n_params,
+    n_params); the error estimate, the two rules' difference divided twice
+    by the scale, is the largest over the rows; ``nodes`` is 400.
     """
     arr = np.asarray(theta, dtype=float)
-    points = [check_params(fam, row) for row in
-              (arr if arr.ndim == 2 else arr[None])]
-    settings = settings or QuadratureSettings()
+    points = np.array([check_params(fam, row) for row in
+                       (arr if arr.ndim == 2 else arr[None])])
     g = np.zeros((len(points), fam.n_params, fam.n_params))
-    blocks: dict[tuple[str, bytes], tuple[np.ndarray, float, int]] = {}
-    for i, th in enumerate(points):
-        for rec, o in factor_layout(fam):
-            params = th[o:o + rec.n_params]
-            key = (rec.kind, params.tobytes())  # bytes: -0.0 is not 0.0
-            if key not in blocks:
-                blocks[key] = _refined_block(rec, params, settings)
-            g[i, o:o + rec.n_params, o:o + rec.n_params] = blocks[key][0]
-    return QuadratureMetric(
-        g if arr.ndim == 2 else g[0],
-        max([0.0] + [err for _, err, _ in blocks.values()]),
-        max([settings.nodes] + [nodes for _, _, nodes in blocks.values()]))
+    blocks: dict[str, tuple[np.ndarray, float]] = {}
+    error = 0.0
+    for rec, o in factor_layout(fam):
+        if rec.kind not in blocks:
+            blocks[rec.kind] = _reference_block(rec)
+        block, residual = blocks[rec.kind]
+        scale = points[:, o + rec.log_scale.index(True), None, None]
+        # Past float64's range the entries read inf or 0, as the closed
+        # form's do.
+        with np.errstate(over="ignore"):
+            g[:, o:o + rec.n_params, o:o + rec.n_params] = block / scale / scale
+            error = max(error, float(np.max(residual / scale / scale)))
+    return QuadratureMetric(g if arr.ndim == 2 else g[0], error, _NODES[-1])
 
 
 # ---------------------------------------------------------------------------

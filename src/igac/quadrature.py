@@ -5,8 +5,8 @@ t in (0, 1); the full real line through x = t/(1-t^2) with t in (-1, 1).
 Both maps are smooth and push the integrand's tail decay onto the
 interval endpoints, so plain Gauss-Legendre nodes converge quickly for
 the exponential-tailed densities used here.  The rules are for a unit
-density at the origin; the Fisher quadrature in ``igac.manifold`` shifts
-and stretches them onto each factor's location and scale.
+density at the origin, which is where the Fisher quadrature in
+``igac.manifold`` takes every kind's block: at location 0 and scale 1.
 """
 
 from __future__ import annotations

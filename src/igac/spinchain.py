@@ -173,27 +173,31 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
+# Peak memory of analyze_chain per analysed level, past any matrix: the
+# spectrum, the degree-7 unfolding fit and the copies lstsq and cond make
+# (178 B resident at n = 17-19; the 2^n free-fermion levels take 22 B).
+_LEVEL_BYTES = 180
+
+
 def _check_resources(spec: ChainSpec, dense: bool = True) -> None:
     """Raise ResourceError when n exceeds the configured ceiling or when the
-    path's arrays would not fit in physical memory: the d x d sector matrix
-    and the eigensolver's copy (2 d^2 float64 values) when dense, the
-    free-fermion enumeration's 2^n-level arrays otherwise."""
+    path's arrays would not fit in physical memory: the unfolding of the
+    sector's d levels and, when dense, the d x d sector matrix and the
+    eigensolver's copy (2 d^2 float64 values)."""
     ceiling = max_spins()
     if spec.n > ceiling:
         raise ResourceError(
             f"n={spec.n} exceeds the configured maximum {ceiling} "
             f"(set {MAX_SPINS_ENV} to override)")
-    if dense:
-        d = _sector_dim(spec.n, spec.sector)
-        needed = 2 * d * d * np.dtype(float).itemsize
-        what = f"a dense matrix of d={d} with the eigensolver's copy"
-    else:  # per level: 2.5 float64 arrays, 2 bool masks (21.1 B measured)
-        needed, what = 22 << spec.n, f"the 2^{spec.n} free-fermion levels"
+    d = _sector_dim(spec.n, spec.sector)
+    needed = _LEVEL_BYTES * d + (2 * d * d * 8 if dense else 0)
     available = _physical_memory_bytes()
     if available is not None and needed > available:
+        what = f"a dense matrix of d={d}" if dense else f"{d} free-fermion levels"
         raise ResourceError(
-            f"n={spec.n} {spec.sector}: {what} needs {needed / 1e9:.2f} GB, "
-            f"more than the {available / 1e9:.2f} GB of physical memory")
+            f"n={spec.n} {spec.sector}: {what} and the unfolding need "
+            f"{needed / 1e9:.2f} GB, more than the {available / 1e9:.2f} GB "
+            f"of physical memory")
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:

@@ -43,23 +43,23 @@ def test_metric_grid_csv(tmp_path):
 
 
 def test_metric_grid_refines_each_distinct_factor_block_once(tmp_path, monkeypatch):
-    # The README grid has 125 points but 5 values of mu_A and 25 of
-    # (mu_B, sigma_B): 30 distinct factor blocks.
+    # The README grid has 125 points and two atomic kinds: each kind's block
+    # is integrated once, at its reference point, and pulled back to all.
     refined = []
-    refine = igac.manifold._refined_block
+    refine = igac.manifold._reference_block
 
-    def counted(rec, params, settings):
-        refined.append((rec.kind, tuple(params)))
-        return refine(rec, params, settings)
+    def counted(rec):
+        refined.append(rec.kind)
+        return refine(rec)
 
-    monkeypatch.setattr(igac.manifold, "_refined_block", counted)
+    monkeypatch.setattr(igac.manifold, "_reference_block", counted)
     rc = main(["metric", "--family", "composite_chaotic", "--grid",
                "mu_A=0.5:2.5:5,mu_B=-1:1:5,sigma_B=0.5:2.5:5",
                "--out", str(tmp_path / "m")])
     assert rc == 0
-    assert len(refined) == len(set(refined)) == 30
+    assert refined == ["wigner_dyson", "gaussian"]
     summary = read_json(tmp_path / "m" / "metric.json")
-    assert summary["n_points"] == 125 and summary["max_rel_error"] <= 1e-13
+    assert summary["n_points"] == 125 and summary["max_rel_error"] <= 3e-14
     assert summary["diagnostics"]["max_nodes"] == 400
 
 
@@ -95,8 +95,10 @@ def test_metric_requires_point_or_grid(tmp_path, capsys):
     (["report"], "seed"),
     (["report"], "format"),
     (["curvature", "--manifold", "chaotic", "--sample", "3"], "plot"),
+    (["metric", "--family", "gaussian", "--point", "mu=0,sigma=1"], "nodes"),
+    (["metric", "--family", "gaussian", "--point", "mu=0,sigma=1"], "quad_tol"),
 ], ids=["jobs", "quad_nodes", "fd_step", "ige_seed", "report_seed",
-        "report_format", "curvature_plot"])
+        "report_format", "curvature_plot", "metric_nodes", "metric_quad_tol"])
 def test_jobs_option_removed(tmp_path, capsys, argv, key):
     # Removed options, and shared flags on a command that does not read
     # them, are unknown both as flags and as config keys.
@@ -487,12 +489,26 @@ def test_too_few_samples_is_a_validation_error(tmp_path, capsys, samples):
     assert payload["field"] == "samples"
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # Rules of 4 and 8 nodes disagree, so the quadrature raises AccuracyError.
+    monkeypatch.setattr(igac.manifold, "_NODES", (4, 8))
     rc, err = run(["metric", "--family", "wigner_dyson", "--point", "mu=0.7",
-                   "--nodes", "4", "--quad-tol", "1e-16",
                    "--out", str(tmp_path / "m")], capsys)
     assert rc == 4
     assert json.loads(err.strip().splitlines()[-1])["error"] == "numerical"
+    assert not (tmp_path / "m" / "metric.json").exists()
+
+
+def test_metric_far_out_point_exits_0(tmp_path):
+    # The scores at mu = 1e150 underflow when squared, so a quadrature at mu
+    # exited 4 there; the block at the reference point gives the metric.
+    out = tmp_path / "m"
+    assert main(["metric", "--family", "exponential", "--point", "mu=1e150",
+                 "--out", str(out)]) == 0
+    summary = read_json(out / "metric.json")
+    assert summary["max_rel_error"] < 1e-13
+    assert read_json(out / "run_config.json").keys().isdisjoint(
+        {"nodes", "quad_tol"})
 
 
 def test_stationary_ige_is_a_numerical_failure(tmp_path, capsys):

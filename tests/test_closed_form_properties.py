@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from igac import (christoffel, density, family, fisher_metric_closed_form,
                   fisher_metric_quadrature, model_from_family, moments,
                   riemann)
+from igac.families import KINDS
 from igac.ige import _log_volume_element
 from igac.quadrature import support_rule
 
@@ -60,6 +61,67 @@ def test_quadrature_on_a_stack_is_bitwise_the_per_point_calls(name, data):
     assert got.matrix.tobytes() == np.stack([q.matrix for q in each]).tobytes()
     assert got.error_estimate == max(q.error_estimate for q in each)
     assert got.nodes == max(q.nodes for q in each)
+
+
+EPS = np.finfo(float).eps
+
+
+def draw_wide_point(data, domain):
+    """A parameter point anywhere in the domain: a location in
+    [-1e300, 1e300], a scale log-uniform in [1e-300, 1e300]."""
+    return np.array([data.draw(
+        st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e) if lo == 0.0
+        else st.floats(-1e300, 1e300)) for lo, _ in domain])
+
+
+@pytest.mark.parametrize("kind", tuple(KINDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_each_kind_is_a_location_scale_family(kind, data):
+    # What the quadrature's pull-back rests on: at the rule's nodes z,
+    # log p(loc + scale z; theta) + log scale = log p(z; loc 0, scale 1),
+    # over the whole domain.  Forming x = loc + scale z, and the density's
+    # own x - loc, each round once: in z units by eps (|x| + |loc|) / scale,
+    # which the tolerance allows for along with the rounding of log p.
+    rec = KINDS[kind]
+    theta = draw_wide_point(data, rec.param_domain)
+    is_scale = np.array(rec.log_scale)
+    (scale,), loc = theta[is_scale], theta[~is_scale].sum()
+    z, _ = support_rule(rec.support, 200)
+    with np.errstate(over="ignore"):
+        x = loc + scale * z
+    z, x = z[np.isfinite(x)], x[np.isfinite(x)]
+    got = rec.log_density(theta, 0, x) + math.log(scale)
+    want = rec.log_density(is_scale.astype(float), 0, z)
+    # Where |loc| / scale leaves float64's range, x - loc holds no digit of
+    # z and the tolerance is infinite.
+    with np.errstate(over="ignore"):
+        dz = EPS * ((np.abs(x) + abs(loc)) / scale + np.abs(z))
+        tol = 8.0 * EPS * (1.0 + np.abs(want) + abs(math.log(scale))) \
+            + 4.0 * (np.abs(z) + dz) * dz
+    assert np.all(np.abs(got - want) <= tol), (theta, np.max(np.abs(got - want) / tol))
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quadrature_matches_the_closed_form_over_the_whole_domain(name, data):
+    # Entry by entry, since the norm of a 1e-300 matrix underflows: within
+    # 1e-12 wherever the closed form is finite and nonzero.  An entry the
+    # closed form has zero off the diagonal is within 1e-12 of its row's or
+    # column's diagonal entry.
+    fam = family(name)
+    theta = draw_wide_point(data, fam.param_domain)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        closed = fisher_metric_closed_form(fam, theta)
+    quad = fisher_metric_quadrature(fam, theta).matrix
+    compared = np.isfinite(closed) & (closed != 0.0)
+    assert np.all(np.abs(quad[compared] / closed[compared] - 1.0) <= 1e-12), \
+        (theta, closed, quad)
+    diag = np.abs(np.diag(closed))
+    zero = (closed == 0.0) & ~np.eye(len(theta), dtype=bool)
+    assert np.all(np.abs(quad[zero])
+                  <= 1e-12 * np.maximum.outer(diag, diag)[zero]), (theta, quad)
 
 
 def theta_forms_written_out(fam, theta):

@@ -169,7 +169,11 @@ def test_batched_dense_output_is_bitwise_the_per_step_fill(monkeypatch, case):
             gm, (0.0, 1.0), (3.0, 1.0), 10.0, samples=4096),
         "jacobi": lambda: integrate_jacobi(gm, base, (0.0, 1.0), (1.0, 0.0),
                                            tol=1e-10),
-        "singular": lambda: integrate_geodesic(gm, (0.0, 1.0), (0.0, 150.0), 10.0),
+        # The field along e_mu of the vertical geodesic u = 150 tau grows
+        # like cosh(150 tau) and leaves float64's range at tau = 4.73.
+        "singular": lambda: integrate_jacobi(
+            gm, integrate_geodesic(gm, (0.0, 1.0), (0.0, 150.0), 10.0),
+            (1.0, 0.0), (0.0, 1.0)),
     }
     batches = []
     fill = dynamics._fill_dense
@@ -313,7 +317,6 @@ def test_jacobi_fields_follow_the_exact_flow(data, name, speed):
     # unstable part of J reaches: a start with no unstable part (K0 along
     # v_G, say) still picks up one at the level of the step errors, which
     # then grows like cosh(kappa tau).
-    tol = 1e-8
     mdl = model(name)
     chart = mdl.chart
     blocks = GAUSSIAN_BLOCKS[name]
@@ -327,6 +330,14 @@ def test_jacobi_fields_follow_the_exact_flow(data, name, speed):
     w0 = speed * d / chart.norms(d)
     j0 = data.draw(arrays(np.float64, mdl.dim, elements=unit))
     k0 = data.draw(arrays(np.float64, mdl.dim, elements=unit))
+    check_jacobi_against_the_exact_flow(name, x0, w0, j0, k0)
+
+
+def check_jacobi_against_the_exact_flow(name, x0, w0, j0, k0):
+    tol = 1e-8
+    mdl = model(name)
+    chart = mdl.chart
+    blocks = GAUSSIAN_BLOCKS[name]
     lengths = chart.theta_lengths(x0)
     base = integrate_geodesic(mdl, chart.from_chart(x0), lengths * w0, 10.0,
                               tol=tol, samples=64)
@@ -335,6 +346,19 @@ def test_jacobi_fields_follow_the_exact_flow(data, name, speed):
     err = (np.abs(traj.jacobi_norm - exact)
            / np.maximum(1.0, np.maximum(exact, unstable)))
     assert np.max(err) <= 1e3 * tol, (name, x0, w0, j0, k0, np.max(err))
+    return traj
+
+
+def test_a_field_far_below_the_tolerance_follows_the_exact_flow():
+    # A draw that failed the property above: K0 of 2.2e-16 per component,
+    # far below the walk's tolerance, was left unresolved while it grew
+    # like cosh(kappa tau), and read an error of 1.9e-3 at tau = 10.  The
+    # field is now integrated at g-norm about 1 and scaled back.
+    traj = check_jacobi_against_the_exact_flow(
+        "chaotic", np.zeros(3), np.array([0.0, 5.0, 0.0]), np.zeros(3),
+        np.full(3, 2.2e-16))
+    lam = estimate_lambda_j(traj, (10.0 / 3.0, 10.0)).lambda_j
+    assert lam == pytest.approx(5.0 / SQRT2, rel=1e-5)
 
 
 @pytest.mark.parametrize("name", ["integrable", "chaotic", "gaussian", "euclidean"])
@@ -347,7 +371,8 @@ def test_closed_form_right_hand_sides_match_the_dense_expressions(name, data):
     # ulps of the sum of its absolute terms; the order of summation differs.
     # Where x leaves the chart (an inf or NaN coordinate) every component is
     # NaN, and where the frame lengths or their products overflow the
-    # result is not finite either, so such a stage rejects the step.
+    # result is not finite either, so such a stage rejects the step; but
+    # where w_a is exactly 0, dx_a is 0 however long e_a is.
     chart = model(name).chart
     dim = chart.model.dim
     x = data.draw(arrays(np.float64, dim, elements=st.floats(-1e3, 1e3)))
@@ -358,14 +383,14 @@ def test_closed_form_right_hand_sides_match_the_dense_expressions(name, data):
                                     elements=st.floats(-1e60, 1e60)))
     y = np.concatenate([x, w, jac, rate])
     with np.errstate(all="ignore"):
-        e = chart.lengths(x)
+        dx = np.where(w == 0.0, w, chart.lengths(x) * w)
         along = w @ chart.omega
-        dense = np.concatenate([e * w, -along @ w, rate - along @ jac,
+        dense = np.concatenate([dx, -along @ w, rate - along @ jac,
                                 -along @ rate - ((chart.curvature @ w) @ jac) @ w])
         a_w, a_jac, a_rate = np.abs(w), np.abs(jac), np.abs(rate)
         a_along = a_w @ np.abs(chart.omega)
         terms = np.concatenate([
-            np.abs(e * w), a_along @ a_w, a_rate + a_along @ a_jac,
+            np.abs(dx), a_along @ a_w, a_rate + a_along @ a_jac,
             a_along @ a_rate + ((np.abs(chart.curvature) @ a_w) @ a_jac) @ a_w])
     tolerance = 8 * np.finfo(float).eps * terms + 8 * np.finfo(float).smallest_subnormal
     for jacobi, size in ((False, 2 * dim), (True, 4 * dim)):
@@ -382,25 +407,28 @@ def test_closed_form_right_hand_sides_match_the_dense_expressions(name, data):
 
 def test_frame_length_overflow_rejects_the_stage():
     # On the vertical Gaussian geodesic u = 150 tau, mu = 0, the length e^u
-    # of e_mu overflows at u = 709.8, tau = 4.73, while w_mu is exactly 0.
-    # Such stages are rejected, so the walk may end in SingularityError; if
-    # it returns, it follows the exact flow.  No other exception escapes.
+    # of e_mu overflows at u = 709.8, tau = 4.73, while w_mu is exactly 0:
+    # dmu = e^u w_mu stays 0, so the walk runs on and follows the exact
+    # flow, with sigma = inf and a theta velocity 0 (not NaN) beside it.
+    # So does a deviation field along the geodesic, J = (1 + tau) e_u,
+    # whose e_mu component stays exactly 0 too.  (A field along e_mu grows
+    # like cosh(150 tau) and leaves float64's range at the same tau.)
     gm = gaussian_model()
+    traj = integrate_geodesic(gm, (0.0, 1.0), (0.0, 150.0), 10.0)
     short = integrate_geodesic(gm, (0.0, 1.0), (0.0, 150.0), 1.0, samples=16)
-    runs = {
-        "geodesic": lambda: integrate_geodesic(gm, (0.0, 1.0), (0.0, 150.0), 10.0),
-        "jacobi": lambda: integrate_jacobi(
-            gm, replace(short, tau_grid=np.linspace(0.0, 10.0, 512)),
-            (1.0, 0.0), (0.0, 1.0)),
-    }
-    for name, run in runs.items():
-        try:
-            traj = run()
-        except IgacError:
-            continue
-        assert np.all(traj.chart_coords[:, 0] == 0.0), name
-        np.testing.assert_allclose(traj.chart_coords[:, 1], 150.0 * traj.tau_grid,
+    jac = integrate_jacobi(gm, replace(short, tau_grid=np.linspace(0.0, 10.0, 512)),
+                           (0.0, 1.0), (0.0, 1.0))
+    for name, run in (("geodesic", traj), ("jacobi", jac)):
+        assert np.all(run.chart_coords[:, 0] == 0.0), name
+        np.testing.assert_allclose(run.chart_coords[:, 1], 150.0 * run.tau_grid,
                                    rtol=1e-12, err_msg=name)
+        past = run.chart_coords[:, 1] > 709.8
+        assert past.any() and np.all(run.coords[past, 1] == math.inf), name
+        assert np.all(run.velocity[:, 0] == 0.0), name
+        np.testing.assert_allclose(run.speed, 150.0 * SQRT2, rtol=1e-12)
+    assert np.all(jac.jacobi[:, 0] == 0.0)
+    np.testing.assert_allclose(jac.jacobi_norm, SQRT2 * (1.0 + jac.tau_grid),
+                               rtol=1e-10)
 
 
 def test_geodesic_validation():

@@ -6,10 +6,9 @@ import pytest
 from igac import (AccuracyError, DomainError, ShapeError,
                   UnsupportedFamilyError, chaotic_model, euclidean_model,
                   family, fisher_metric_closed_form, fisher_metric_quadrature,
-                  gaussian_model, integrable_model, model,
+                  gaussian_model, integrable_model, manifold, model,
                   model_from_family, product_family)
 from igac.families import exponential_family
-from igac.manifold import QuadratureSettings
 
 ALL_MODELS = (integrable_model(), chaotic_model(), gaussian_model(),
               euclidean_model(2))
@@ -77,13 +76,13 @@ def test_quadrature_grid_agreement():
 
 
 def test_quadrature_follows_the_gaussian_location_and_scale():
-    # Narrow densities far from the origin: a rule that ignored mu and sigma
-    # would put no node where p > 0 and converge on the zero matrix.
+    # Narrow densities far from the origin, and (1e4, 1e-4), where the
+    # cancellation in x - mu of a rule centred on mu cost 1.6e-10.
     fam = family("gaussian")
-    for theta in [(500.0, 1e-3), (0.0, 1e-6), (1e3, 1e-3)]:
+    for theta in [(500.0, 1e-3), (0.0, 1e-6), (1e3, 1e-3), (1e4, 1e-4)]:
         closed = fisher_metric_closed_form(fam, theta)
         quad = fisher_metric_quadrature(fam, theta).matrix
-        assert np.linalg.norm(quad - closed) / np.linalg.norm(closed) < 1e-11
+        assert np.linalg.norm(quad - closed) / np.linalg.norm(closed) < 1e-13
 
 
 def test_quadrature_cross_blocks_exactly_zero():
@@ -92,20 +91,49 @@ def test_quadrature_cross_blocks_exactly_zero():
     assert res.matrix[1, 0] == 0.0 and res.matrix[2, 0] == 0.0
 
 
-def test_quadrature_nonconvergence_raises_with_estimates():
-    settings = QuadratureSettings(nodes=4, tol=1e-16)
+def test_quadrature_nonconvergence_raises_with_estimates(monkeypatch):
+    # Rules of 4 and 8 nodes differ by far more than 1e-8 of the block.
+    monkeypatch.setattr(manifold, "_NODES", (4, 8))
+    with pytest.raises(AccuracyError, match="4 and 8 nodes") as err:
+        fisher_metric_quadrature(family("wigner_dyson"), (0.6,))
+    coarse, fine = err.value.estimates
+    assert coarse.shape == fine.shape == (1, 1) and coarse[0, 0] != fine[0, 0]
+
+
+@pytest.mark.parametrize("name", ["exponential", "wigner_dyson", "gaussian"])
+def test_quadrature_never_accepts_an_underflowed_block(monkeypatch, name):
+    # A rule whose nodes all sit at x >= 1e3, where the density underflows,
+    # gives the zero block at every node count, so the two estimates agree;
+    # a zero block is still rejected.
+    rule = manifold.support_rule
+
+    def missing(kind, nodes):
+        x, w = rule(kind, nodes)
+        return np.abs(x) + 1e3, w
+
+    monkeypatch.setattr(manifold, "support_rule", missing)
     with pytest.raises(AccuracyError) as err:
-        fisher_metric_quadrature(family("wigner_dyson"), (0.6,), settings)
-    assert len(err.value.estimates) == 2
+        fisher_metric_quadrature(family(name), [1.0] * family(name).n_params)
+    assert not np.any(err.value.estimates)
 
 
-@pytest.mark.parametrize("name", ["exponential", "wigner_dyson"])
-def test_quadrature_never_accepts_an_underflowed_block(name):
-    # At mu = 1e150 the block (closed form about 1e-300) underflows to zero,
-    # so successive estimates agree; a small start keeps the doublings cheap.
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AccuracyError):
-        fisher_metric_quadrature(family(name), (1e150,),
-                                 QuadratureSettings(nodes=4))
+def test_quadrature_integrates_each_kind_once(monkeypatch):
+    # Both exponential factors, at any values, take one reference block.
+    kinds = []
+    block = manifold._reference_block
+
+    def counted(rec):
+        kinds.append(rec.kind)
+        return block(rec)
+
+    monkeypatch.setattr(manifold, "_reference_block", counted)
+    fam = family("composite_integrable")
+    points = [(1e-150, 3.0), (7.0, 1e150)]
+    res = fisher_metric_quadrature(fam, points)
+    assert kinds == ["exponential"] and res.nodes == 400
+    for quad, theta in zip(res.matrix, points):
+        closed = fisher_metric_closed_form(fam, theta)
+        np.testing.assert_allclose(quad, closed, rtol=1e-13, atol=0.0)
 
 
 def test_positive_definiteness_random_points():

@@ -331,7 +331,8 @@ def test_resource_guard_and_env_override(monkeypatch):
 
 def test_resource_guard_on_memory(monkeypatch):
     monkeypatch.setattr(spinchain, "_physical_memory_bytes", lambda: 1_000_000)
-    # d = 136: 2 * 136^2 * 8 bytes = 0.30 MB fits; d = 256 (1.05 MB) does not.
+    # d = 136: 2 * 136^2 * 8 + 136 * 180 bytes = 0.32 MB fits; d = 256
+    # (1.09 MB) does not.
     assert build_hamiltonian(ChainSpec(8, 1.0, 1.0)).shape == (136, 136)
     for spec in (ChainSpec(8, 0.0, 2.0, sector="full"),
                  ChainSpec(8, 1.0, 1.0, sector="full")):
@@ -340,16 +341,33 @@ def test_resource_guard_on_memory(monkeypatch):
     with pytest.raises(ResourceError, match=r"d=256 .*GB"):
         analyze_chain(ChainSpec(8, 1.0, 1.0, sector="full"))
     # At h_x = 0 analyze_chain builds no matrix: its 2^8 levels take
-    # 256 * 22 bytes, which its own check compares with the memory.
+    # 256 * 180 bytes to unfold, which its own check compares with the memory.
     rec = analyze_chain(ChainSpec(8, 0.0, 2.0, sector="full"))
     assert rec.method == "free_fermion" and rec.dense_dim is None
     assert len(rec.mode_energies) == 8 and len(rec.eigenvalues) == 256
     monkeypatch.setattr(spinchain, "_physical_memory_bytes", lambda: 5_000)
-    with pytest.raises(ResourceError, match=r"2\^8 free-fermion levels .*GB"):
+    with pytest.raises(ResourceError, match=r"256 free-fermion levels.*GB"):
         analyze_chain(ChainSpec(8, 0.0, 2.0, sector="full"))
     monkeypatch.setattr(spinchain, "_physical_memory_bytes", lambda: None)
     assert build_hamiltonian(ChainSpec(8, 1.0, 1.0, sector="full")).shape \
         == (256, 256)
+
+
+@pytest.mark.parametrize("hx, old, new", [
+    # Free fermions: 22 B per level counted the enumeration alone.
+    (0.0, 22 * 256, 180 * 256),
+    # Dense: the matrix and the eigensolver's copy, without the unfolding.
+    (1.0, 2 * 256 * 256 * 8, 2 * 256 * 256 * 8 + 180 * 256),
+])
+def test_resource_guard_counts_the_unfolding(monkeypatch, hx, old, new):
+    # The unfolding's degree-7 Vandermonde alone is 64 B per level, and
+    # lstsq and cond copy it: memory between the two counts is too little.
+    monkeypatch.setattr(spinchain, "_physical_memory_bytes",
+                        lambda: (old + new) // 2)
+    with pytest.raises(ResourceError, match="unfold"):
+        analyze_chain(ChainSpec(8, hx, 2.0, sector="full"))
+    monkeypatch.setattr(spinchain, "_physical_memory_bytes", lambda: new)
+    assert len(analyze_chain(ChainSpec(8, hx, 2.0, sector="full")).eigenvalues) == 256
 
 
 def test_chain_spec_validation():
