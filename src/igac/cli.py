@@ -8,9 +8,13 @@ config-file values, which override built-in defaults; a config-file
 value passes the type and choices of its flag.  The effective
 configuration is echoed to run_config.json in the output directory.
 
+In-process ``main`` calls share one parser, built on the first call;
+parsing leaves it unchanged, and a --config call sets its values as
+defaults of a parser of its own, so no call carries state to the next.
+
 Exit codes: 0 success, 2 validation error, 3 resource error,
-4 numerical failure.  Errors print a machine-readable JSON object on
-standard error.
+4 numerical failure (``metric`` also where a metric leaves float64's
+range).  Errors print a machine-readable JSON object on standard error.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, geometry, ige, manifold, spinchain, svgplot
-from .errors import IgacError, ValidationError
+from .errors import AccuracyError, IgacError, ValidationError
 from .families import FAMILY_NAMES, family
 from .manifold import MODEL_NAMES
 
@@ -190,10 +194,11 @@ def _config_value(flag: argparse.Action, key: str, val):
     return val
 
 
-def _effective_config(parser: argparse.ArgumentParser, argv: list[str] | None,
-                      args: argparse.Namespace) -> dict:
+def _effective_config(argv: list[str] | None, args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicitly given flags: config values
-    become the subcommand's defaults, and argv is parsed again over them."""
+    become the subcommand's defaults in a parser of this call's own, and
+    argv is parsed again over them, so the shared parser keeps its
+    built-in defaults."""
     if args.config is not None:
         cfg_path = Path(args.config)
         if not cfg_path.exists():
@@ -207,6 +212,7 @@ def _effective_config(parser: argparse.ArgumentParser, argv: list[str] | None,
         if not isinstance(loaded, dict):
             raise ValidationError("config file must hold a JSON object",
                                   field="config")
+        parser = build_parser()
         (commands,) = [a for a in parser._actions if a.dest == "command"]
         subparser = commands.choices[args.command]
         flags = {a.dest: a for a in subparser._actions}
@@ -267,11 +273,22 @@ def cmd_metric(cfg: dict) -> int:
     else:
         points = _parse_grid(cfg["grid"], fam)
 
-    closed = [manifold.fisher_metric_closed_form(fam, p) for p in points]
-    # One call for the whole grid: each kind's block is integrated once.
-    quad = manifold.fisher_metric_quadrature(fam, np.array(points))
-    rels = [np.linalg.norm(q - c) / max(np.linalg.norm(c), 1e-300)
-            for q, c in zip(quad.matrix, closed)]
+    # One call each for the whole grid: each kind's block is integrated once.
+    stack = np.array(points)
+    closed = manifold.fisher_metric_closed_form(fam, stack)
+    quad = manifold.fisher_metric_quadrature(fam, stack)
+    finite = np.isfinite(np.stack([closed, quad.matrix])).all(axis=(0, 2, 3))
+    if not finite.all():
+        at = ", ".join(f"{name}={val!r}" for name, val in zip(
+            fam.param_names, stack[int(np.argmin(finite))].tolist()))
+        raise AccuracyError(
+            f"Fisher metric of {fam.name!r} at {at} leaves float64's range: "
+            f"the closed form or the quadrature has a non-finite entry")
+    # ||q - c|| / ||c||, both scaled by the power of two of c's largest entry,
+    # which is exact and keeps their squares inside float64's range.
+    scale = np.ldexp(1.0, -np.frexp(np.abs(closed).max(axis=(1, 2)))[1])
+    rels = [np.linalg.norm((q - c) * s) / max(np.linalg.norm(c * s), 1e-300)
+            for q, c, s in zip(quad.matrix, closed, scale)]
 
     out = _out_dir(cfg)
     dim = fam.n_params
@@ -622,14 +639,20 @@ _CATEGORIES = ((ValueError, "validation", EXIT_VALIDATION),
                (ArithmeticError, "numerical", EXIT_NUMERICAL))
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in a process shares; parsing leaves it
+    as built, and nothing else may change it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _effective_config(parser, argv, args)
+        cfg = _effective_config(argv, args)
         return _DISPATCH[args.command](cfg)
     except IgacError as exc:
         category, code = next((category, code) for base, category, code

@@ -230,9 +230,11 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float
             factor = 5.0 if err == 0.0 else 0.2
         h *= factor
         if not err <= 1.0 and h < floor:
+            cause = ("" if math.isfinite(err) else ": the error estimate is not "
+                     "finite, so the state left float64's range or the chart")
             raise SingularityError(
-                f"step size underflowed ({h:.3e} < {floor:.3e}) at tau={tau:.6g}",
-                last_state=(tau, y.copy()))
+                f"step size underflowed ({h:.3e} < {floor:.3e}) at "
+                f"tau={tau:.6g}{cause}", last_state=(tau, y.copy()))
     return out, SolverStats(calls, accepted, rejected,
                             smallest if accepted else None)
 

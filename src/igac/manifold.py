@@ -257,6 +257,15 @@ def _reference_block(rec: AtomicKind) -> tuple[np.ndarray, float]:
     return fine, residual
 
 
+def _param_rows(fam: FamilySpec, theta) -> tuple[np.ndarray, bool]:
+    """A point or a (k, n_params) stack of points as a checked stack, each
+    row by ``check_params``, and whether it was given as a stack."""
+    arr = np.asarray(theta, dtype=float)
+    stacked = arr.ndim == 2
+    rows = [check_params(fam, row) for row in (arr if stacked else arr[None])]
+    return np.array(rows).reshape(-1, fam.n_params), stacked
+
+
 def fisher_metric_quadrature(fam: FamilySpec, theta) -> QuadratureMetric:
     """Metric from the defining integral E[d_i log p  d_j log p], at a point
     or at each row of a (k, n_params) stack of points.
@@ -271,9 +280,7 @@ def fisher_metric_quadrature(fam: FamilySpec, theta) -> QuadratureMetric:
     n_params); the error estimate, the two rules' difference divided twice
     by the scale, is the largest over the rows; ``nodes`` is 400.
     """
-    arr = np.asarray(theta, dtype=float)
-    points = np.array([check_params(fam, row) for row in
-                       (arr if arr.ndim == 2 else arr[None])])
+    points, stacked = _param_rows(fam, theta)
     g = np.zeros((len(points), fam.n_params, fam.n_params))
     blocks: dict[str, tuple[np.ndarray, float]] = {}
     error = 0.0
@@ -287,7 +294,7 @@ def fisher_metric_quadrature(fam: FamilySpec, theta) -> QuadratureMetric:
         with np.errstate(over="ignore"):
             g[:, o:o + rec.n_params, o:o + rec.n_params] = block / scale / scale
             error = max(error, float(np.max(residual / scale / scale)))
-    return QuadratureMetric(g if arr.ndim == 2 else g[0], error, _NODES[-1])
+    return QuadratureMetric(g if stacked else g[0], error, _NODES[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +412,12 @@ _family_model = lru_cache(maxsize=16)(model_from_family)
 
 
 def fisher_metric_closed_form(fam: FamilySpec, theta) -> np.ndarray:
-    """Exact Fisher-Rao metric, from the family's chart; composites are
-    block-diagonal in factors."""
-    return _family_model(fam).metric_fn(check_params(fam, theta))
+    """Exact Fisher-Rao metric, from the family's chart, at a point or at
+    each row of a (k, n_params) stack of points, in one evaluation;
+    composites are block-diagonal in factors."""
+    points, stacked = _param_rows(fam, theta)
+    g = _family_model(fam).metric_fn(points)
+    return g if stacked else g[0]
 
 
 def integrable_model() -> ManifoldModel:

@@ -37,7 +37,10 @@ Each sector's matrix is built densely in the basis of its
 reflection-orbit representatives: every bond and h_x flip of a
 representative is mapped to the representative of its image, with the
 parity sign and the orbit normalisation, so a parity sector never forms
-the 2^n-dimensional H or a projection onto the sector.
+the 2^n-dimensional H or a projection onto the sector.  With a field
+along x, the full sector's spectrum is the sorted union of the two
+parity sectors', each diagonalized on its own, so no path diagonalizes
+the 2^n-dimensional H; ``build_hamiltonian`` still builds it on request.
 
 At h_x = 0 the chain is the open transverse-field Ising chain, free
 fermions (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961); Pfeuty,
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,23 +182,26 @@ def _physical_memory_bytes() -> int | None:
 _LEVEL_BYTES = 180
 
 
-def _check_resources(spec: ChainSpec, dense: bool = True) -> None:
+def _check_resources(spec: ChainSpec, dense_dim: int) -> None:
     """Raise ResourceError when n exceeds the configured ceiling or when the
     path's arrays would not fit in physical memory: the unfolding of the
-    sector's d levels and, when dense, the d x d sector matrix and the
-    eigensolver's copy (2 d^2 float64 values)."""
+    sector's d levels and, unless ``dense_dim`` is 0 (free fermions), the
+    largest matrix diagonalized and the eigensolver's copy (2 dense_dim^2
+    float64 values)."""
     ceiling = max_spins()
     if spec.n > ceiling:
         raise ResourceError(
             f"n={spec.n} exceeds the configured maximum {ceiling} "
             f"(set {MAX_SPINS_ENV} to override)")
     d = _sector_dim(spec.n, spec.sector)
-    needed = _LEVEL_BYTES * d + (2 * d * d * 8 if dense else 0)
+    needed = _LEVEL_BYTES * d + 2 * dense_dim * dense_dim * 8
     available = _physical_memory_bytes()
     if available is not None and needed > available:
-        what = f"a dense matrix of d={d}" if dense else f"{d} free-fermion levels"
+        what = (f"a dense matrix of d={dense_dim} and the unfolding of {d} "
+                f"levels" if dense_dim else
+                f"{d} free-fermion levels and the unfolding")
         raise ResourceError(
-            f"n={spec.n} {spec.sector}: {what} and the unfolding need "
+            f"n={spec.n} {spec.sector}: {what} need "
             f"{needed / 1e9:.2f} GB, more than the {available / 1e9:.2f} GB "
             f"of physical memory")
 
@@ -206,7 +212,7 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     Raises ResourceError when n exceeds the configured ceiling or when the
     whole sector matrix would not fit in memory (``_check_resources``).
     """
-    _check_resources(spec)
+    _check_resources(spec, _sector_dim(spec.n, spec.sector))
     return _sector_matrix(spec.n, spec.h_x, spec.h_y, spec.sector)
 
 
@@ -226,8 +232,11 @@ def diagonalize(h: np.ndarray) -> np.ndarray:
     b = _CHECK_TILE
     for i in range(0, h.shape[0], b):
         for j in range(i, h.shape[0], b):
+            mirror = h[j:j + b, i:i + b]
+            if np.iscomplexobj(mirror):
+                mirror = mirror.conj()
             with np.errstate(invalid="ignore"):  # inf - inf: NaN, rejected below
-                tile = h[i:i + b, j:j + b] - h[j:j + b, i:i + b].conj().T
+                tile = h[i:i + b, j:j + b] - mirror.T
             # Written so that NaN (from a NaN or infinite entry) fails too.
             if not float(np.max(np.abs(tile))) <= 1e-12:
                 raise ValidationError(
@@ -424,10 +433,17 @@ class SpectrumRecord:
     verdict: str
     r_mean: float  # mean_spacing_ratio of the eigenvalues, reported only
     method: str  # "free_fermion" (h_x = 0) or "dense"
-    dense_dim: int | None  # dimension diagonalized, dense only
+    dense_dim: int | None  # largest block diagonalized, dense only
     mode_energies: tuple[float, ...] | None  # the n s_k, free_fermion only
     unfold_condition: float  # Unfolding.condition of the staircase fit
     trimmed_levels: int  # Unfolding.trimmed
+
+
+def _largest_block(spec: ChainSpec) -> int:
+    """Dimension of the largest matrix the dense path diagonalizes: the
+    sector's own, or for the full sector its larger (even) reflection block."""
+    return _sector_dim(spec.n, "reflection_even" if spec.sector == "full"
+                       else spec.sector)
 
 
 def _sector_spectrum(spec: ChainSpec) -> tuple[np.ndarray, tuple | None]:
@@ -436,10 +452,18 @@ def _sector_spectrum(spec: ChainSpec) -> tuple[np.ndarray, tuple | None]:
 
     The levels double mode by mode, each gaining -s_k or +s_k.  Exciting
     mode k in a set S of size m adds k + m to the parity exponent, so the
-    parities of |S| and of the exponent are all a sector needs."""
+    parities of |S| and of the exponent are all a sector needs.  With a
+    field along x, the full sector is the union of the two reflection
+    sectors, each diagonalized on its own."""
     if spec.h_x != 0.0:
-        return diagonalize(build_hamiltonian(spec)), None
-    _check_resources(spec, dense=False)
+        sectors = SECTORS[1:] if spec.sector == "full" else (spec.sector,)
+        _check_resources(spec, _largest_block(spec))
+        levels = np.concatenate([
+            diagonalize(build_hamiltonian(replace(spec, sector=sector)))
+            for sector in sectors])
+        levels.sort()
+        return levels, None
+    _check_resources(spec, 0)
     modes = np.linalg.svd(np.diag(np.full(spec.n, float(spec.h_y)))
                           + np.eye(spec.n, k=1), compute_uv=False)  # descending
     levels = np.zeros(1)
@@ -466,5 +490,5 @@ def analyze_chain(spec: ChainSpec, poly_degree: int = 7,
                           result.ks_wigner, result.verdict,
                           mean_spacing_ratio(ev).mean,
                           "dense" if modes is None else "free_fermion",
-                          len(ev) if modes is None else None, modes,
+                          _largest_block(spec) if modes is None else None, modes,
                           unfolding.condition, unfolding.trimmed)

@@ -288,10 +288,11 @@ def test_chain_resource_guard(tmp_path, capsys, monkeypatch):
     rc, err = run(["chain", "--n", "20", "--out", str(tmp_path / "c")], capsys)
     assert rc == 3
     assert json.loads(err.strip().splitlines()[-1])["error"] == "resource"
-    # The memory check is on the path taken: n = 8 full is d = 256 (1.05 MB
-    # with the eigensolver's copy) dense, but at h_x = 0 no matrix is built.
+    # The memory check is on the path taken: n = 8 full at h_x = 1 diagonalizes
+    # the d = 136 even block (342 KB with the eigensolver's copy and the
+    # unfolding of 256 levels), but at h_x = 0 no matrix is built (46 KB).
     monkeypatch.setattr(igac.spinchain, "_physical_memory_bytes",
-                        lambda: 1_000_000)
+                        lambda: 300_000)
     argv = ["chain", "--n", "8", "--hy", "2", "--sector", "full"]
     rc, _ = run(argv + ["--hx", "0", "--out", str(tmp_path / "c0")], capsys)
     assert rc == 0
@@ -479,6 +480,52 @@ def test_config_int_for_float_flag_is_accepted(tmp_path):
     assert read_json(out / "run_config.json")["tau_max"] == 50.0
 
 
+def counting_build_parser(monkeypatch) -> list:
+    """Empty the shared parser's cache and count build_parser calls from
+    now on, one list entry per call."""
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    return built
+
+
+def test_main_calls_share_one_parser(tmp_path, monkeypatch):
+    built = counting_build_parser(monkeypatch)
+    for name in ("a", "b"):
+        assert main(["metric", "--family", "exponential", "--point", "mu=1",
+                     "--out", str(tmp_path / name)]) == 0
+    assert len(built) == 1
+
+
+def test_a_config_run_leaves_the_shared_parser_as_built(tmp_path, monkeypatch):
+    # The config values become defaults of a parser of that call's own, so
+    # the next plain call in the process runs with the built-in defaults.
+    built = counting_build_parser(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 64}))
+    argv = IGE_RUN + ["--tau-max", "10", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert read_json(tmp_path / "o" / "run_config.json")["samples"] == 64
+    assert len(built) == 2
+    assert main(argv) == 0
+    assert read_json(tmp_path / "o" / "run_config.json")["samples"] == 1024
+    assert len(built) == 2
+
+
+def test_a_call_that_exits_2_leaves_the_next_call_alone(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 64, "format": "xml"}))
+    argv = IGE_RUN + ["--tau-max", "10", "--out", str(tmp_path / "o")]
+    cli._parser.cache_clear()
+    assert run(argv, capsys)[0] == 0
+    echoed = (tmp_path / "o" / "run_config.json").read_bytes()
+    for bad in (["ige", "--samples", "many"], ["ige", "--bogus"],
+                ["frobnicate"], argv + ["--config", str(cfg)]):
+        assert run(bad, capsys)[0] == 2
+        assert run(argv, capsys)[0] == 0
+        assert (tmp_path / "o" / "run_config.json").read_bytes() == echoed
+
+
 @pytest.mark.parametrize("samples", ["0", "-5", "1"])
 def test_too_few_samples_is_a_validation_error(tmp_path, capsys, samples):
     rc, err = run(["geodesic", "--manifold", "gaussian", "--samples", samples,
@@ -509,6 +556,23 @@ def test_metric_far_out_point_exits_0(tmp_path):
     assert summary["max_rel_error"] < 1e-13
     assert read_json(out / "run_config.json").keys().isdisjoint(
         {"nodes", "quad_tol"})
+
+
+def test_metric_outside_float64_exits_4(tmp_path, capsys):
+    # At sigma = 1e-300 the metric, 1/sigma^2, is not a float64; at 1e-100
+    # it is, and so is the relative error, though its squares are not.
+    out = tmp_path / "m"
+    rc, err = run(["metric", "--family", "gaussian", "--point",
+                   "mu=0,sigma=1e-300", "--out", str(out)], capsys)
+    assert rc == 4
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "numerical"
+    assert "sigma=1e-300" in payload["message"]
+    assert not (out / "metric.json").exists()
+    assert main(["metric", "--family", "gaussian", "--point",
+                 "mu=0,sigma=1e-100", "--out", str(out)]) == 0
+    text = (out / "metric.json").read_text(encoding="utf-8")
+    assert json.loads(text, parse_constant=pytest.fail)["max_rel_error"] < 1e-13
 
 
 def test_stationary_ige_is_a_numerical_failure(tmp_path, capsys):

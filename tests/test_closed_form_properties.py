@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from igac import (christoffel, density, family, fisher_metric_closed_form,
                   fisher_metric_quadrature, model_from_family, moments,
                   riemann)
+from igac.errors import DomainError
 from igac.families import KINDS
 from igac.ige import _log_volume_element
 from igac.quadrature import support_rule
@@ -61,6 +62,27 @@ def test_quadrature_on_a_stack_is_bitwise_the_per_point_calls(name, data):
     assert got.matrix.tobytes() == np.stack([q.matrix for q in each]).tobytes()
     assert got.error_estimate == max(q.error_estimate for q in each)
     assert got.nodes == max(q.nodes for q in each)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_closed_form_on_a_stack_is_bitwise_the_per_point_calls(name, data):
+    # One metric evaluation for the whole stack; a row outside the domain
+    # is refused by the coordinate it breaks, wherever it sits.
+    fam = family(name)
+    mdl = model_from_family(fam)
+    stack = np.array([draw_deep_point(data, mdl)
+                      for _ in range(data.draw(st.integers(1, 6)))])
+    got = fisher_metric_closed_form(fam, stack)
+    each = [fisher_metric_closed_form(fam, row) for row in stack]
+    assert got.tobytes() == np.stack(each).tobytes()
+    row = data.draw(st.integers(0, len(stack) - 1))
+    col = data.draw(st.integers(0, mdl.dim - 1))
+    stack[row, col] = -1.0 if mdl.domain[col][0] == 0.0 else math.nan
+    with pytest.raises(DomainError) as info:
+        fisher_metric_closed_form(fam, stack)
+    assert info.value.field == fam.param_names[col]
 
 
 EPS = np.finfo(float).eps

@@ -411,8 +411,9 @@ def test_frame_length_overflow_rejects_the_stage():
     # dmu = e^u w_mu stays 0, so the walk runs on and follows the exact
     # flow, with sigma = inf and a theta velocity 0 (not NaN) beside it.
     # So does a deviation field along the geodesic, J = (1 + tau) e_u,
-    # whose e_mu component stays exactly 0 too.  (A field along e_mu grows
-    # like cosh(150 tau) and leaves float64's range at the same tau.)
+    # whose e_mu component stays exactly 0 too.  A field along e_mu grows
+    # like cosh(150 tau) and leaves float64's range at the same tau, which
+    # the step-size failure names.
     gm = gaussian_model()
     traj = integrate_geodesic(gm, (0.0, 1.0), (0.0, 150.0), 10.0)
     short = integrate_geodesic(gm, (0.0, 1.0), (0.0, 150.0), 1.0, samples=16)
@@ -429,6 +430,10 @@ def test_frame_length_overflow_rejects_the_stage():
     assert np.all(jac.jacobi[:, 0] == 0.0)
     np.testing.assert_allclose(jac.jacobi_norm, SQRT2 * (1.0 + jac.tau_grid),
                                rtol=1e-10)
+    with pytest.raises(SingularityError,
+                       match="step size underflowed.*float64's range") as err:
+        integrate_jacobi(gm, traj, (1.0, 0.0), (0.0, 1.0))
+    assert err.value.last_state[0] == pytest.approx(4.66, abs=0.01)
 
 
 def test_geodesic_validation():

@@ -206,10 +206,19 @@ def test_zero_hx_chain_matches_free_fermions(n, h_y, sector):
 @given(n=st.integers(1, 9), h_x=FIELD.filter(lambda v: v != 0),
        h_y=FIELD, sector=st.sampled_from(SECTORS))
 def test_nonzero_hx_sector_is_one_block(n, h_x, h_y, sector):
+    # A reflection sector is one block; the full sector is the sorted union
+    # of the two, each diagonalized on its own.
     spec = ChainSpec(n, h_x, h_y, sector=sector)
     levels, modes = spinchain._sector_spectrum(spec)
     assert modes is None and len(levels) == spinchain._sector_dim(n, sector)
-    assert levels.tobytes() == diagonalize(build_hamiltonian(spec)).tobytes()
+    oracle = diagonalize(build_hamiltonian(spec))
+    if sector != "full":
+        assert levels.tobytes() == oracle.tobytes()
+        return
+    blocks = [spinchain._sector_spectrum(ChainSpec(n, h_x, h_y, sector=s))[0]
+              for s in SECTORS[1:]]
+    assert levels.tobytes() == np.sort(np.concatenate(blocks)).tobytes()
+    assert np.max(np.abs(levels - oracle)) < 1e-9
 
 
 def test_single_spin_tilted_field():
@@ -338,7 +347,10 @@ def test_resource_guard_on_memory(monkeypatch):
                  ChainSpec(8, 1.0, 1.0, sector="full")):
         with pytest.raises(ResourceError, match=r"d=256 .*GB"):
             build_hamiltonian(spec)
-    with pytest.raises(ResourceError, match=r"d=256 .*GB"):
+    # analyze_chain takes the full sector from its two reflection blocks:
+    # the d = 136 block, its copy and 256 levels need 0.34 MB.
+    monkeypatch.setattr(spinchain, "_physical_memory_bytes", lambda: 300_000)
+    with pytest.raises(ResourceError, match=r"d=136 and the unfolding of 256 .*GB"):
         analyze_chain(ChainSpec(8, 1.0, 1.0, sector="full"))
     # At h_x = 0 analyze_chain builds no matrix: its 2^8 levels take
     # 256 * 180 bytes to unfold, which its own check compares with the memory.
@@ -356,8 +368,9 @@ def test_resource_guard_on_memory(monkeypatch):
 @pytest.mark.parametrize("hx, old, new", [
     # Free fermions: 22 B per level counted the enumeration alone.
     (0.0, 22 * 256, 180 * 256),
-    # Dense: the matrix and the eigensolver's copy, without the unfolding.
-    (1.0, 2 * 256 * 256 * 8, 2 * 256 * 256 * 8 + 180 * 256),
+    # Dense: the larger (d = 136) reflection block and the eigensolver's
+    # copy, without the unfolding of the full sector's 256 levels.
+    (1.0, 2 * 136 * 136 * 8, 2 * 136 * 136 * 8 + 180 * 256),
 ])
 def test_resource_guard_counts_the_unfolding(monkeypatch, hx, old, new):
     # The unfolding's degree-7 Vandermonde alone is 64 B per level, and
@@ -497,6 +510,17 @@ def test_analyze_chain_round_trip():
     assert rec.unfold_condition == unfolded.condition
     assert rec.trimmed_levels == unfolded.trimmed == 104
     assert rec.unfolded_spacings.tobytes() == unfolded.spacings.tobytes()
+
+
+def test_full_sector_at_n10_is_the_union_of_the_reflection_blocks():
+    # n = 10 beside the property test's n <= 9: the largest block, 528 of
+    # 1024 levels, is the dimension reported.
+    rec = analyze_chain(ChainSpec(10, 0.9, 0.6, sector="full"))
+    blocks = [spinchain._sector_spectrum(ChainSpec(10, 0.9, 0.6, sector=s))[0]
+              for s in SECTORS[1:]]
+    assert rec.eigenvalues.tobytes() == np.sort(np.concatenate(blocks)).tobytes()
+    assert np.max(np.abs(rec.eigenvalues - spectrum(10, 0.9, 0.6))) < 1e-9
+    assert (rec.method, rec.dense_dim, len(rec.eigenvalues)) == ("dense", 528, 1024)
 
 
 def test_level_repulsion_small_spacing_suppression():
