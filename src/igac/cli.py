@@ -277,13 +277,17 @@ def cmd_metric(cfg: dict) -> int:
     stack = np.array(points)
     closed = manifold.fisher_metric_closed_form(fam, stack)
     quad = manifold.fisher_metric_quadrature(fam, stack)
-    finite = np.isfinite(np.stack([closed, quad.matrix])).all(axis=(0, 2, 3))
-    if not finite.all():
+    # A positive-definite metric has a positive diagonal, so a zero there
+    # is an underflow, like a non-finite entry an overflow.
+    in_range = (np.isfinite(np.stack([closed, quad.matrix])).all(axis=(0, 2, 3))
+                & np.diagonal(closed, axis1=1, axis2=2).all(axis=1))
+    if not in_range.all():
         at = ", ".join(f"{name}={val!r}" for name, val in zip(
-            fam.param_names, stack[int(np.argmin(finite))].tolist()))
+            fam.param_names, stack[int(np.argmin(in_range))].tolist()))
         raise AccuracyError(
             f"Fisher metric of {fam.name!r} at {at} leaves float64's range: "
-            f"the closed form or the quadrature has a non-finite entry")
+            f"the closed form or the quadrature has a non-finite entry, or the "
+            f"closed form a zero on its diagonal")
     # ||q - c|| / ||c||, both scaled by the power of two of c's largest entry,
     # which is exact and keeps their squares inside float64's range.
     scale = np.ldexp(1.0, -np.frexp(np.abs(closed).max(axis=(1, 2)))[1])

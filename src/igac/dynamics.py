@@ -38,9 +38,9 @@ factor), the frame rates and the chart's box are read as Python scalars;
 each right-hand side then sums those terms in scalar arithmetic, since on
 vectors of length 2 or 3 numpy's per-call overhead would be most of the
 cost.  The deviation equation can instead take omega and R by finite
-differences of the chart metric, as a check on the closed forms: each
-right-hand side then makes one stacked pass over the curvature stencil of
-x (one ``christoffel`` call on a stack of points), which yields both.
+differences of the chart metric, as a check on the closed forms: since
+both are constant on the chart, they are taken once, at the start point,
+and the same right-hand side runs on them.
 Each trajectory carries the walk's statistics (``SolverStats``).
 """
 from __future__ import annotations
@@ -52,8 +52,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DomainError, InapplicableError, InsufficientDataError,
-                     InversionError, ShapeError, SingularityError)
-from .geometry import christoffel, curvature_stencil, riemann_from_stencil
+                     ShapeError, SingularityError)
+from .geometry import christoffel, riemann
 from .manifold import Chart, ManifoldModel
 
 # Dormand-Prince 5(4) tableau; the fifth-order row propagates.
@@ -246,44 +246,19 @@ def _chart_of(model: ManifoldModel) -> Chart:
     return model.chart
 
 
-def _frame_tensors(chart: Chart):
-    """Callable (x, lengths=None) -> frame components of the connection and
-    the curvature by finite differences of the chart metric, NaN at a stage
-    outside the chart or where the chart metric leaves float64's range,
-    which rejects the step.
-
-    One ``christoffel`` call on the curvature stencil of x in the chart
-    model, which has the chart metric alone: one metric call and one
-    batched inverse give the connection at x (row 0) and the curvature
-    from all rows.
-    """
-    cm = chart.model
-    undefined = (np.full((cm.dim,) * 3, np.nan), np.full((cm.dim,) * 4, np.nan))
-
-    def tensors(x, lengths=None):
-        points, h = curvature_stencil(cm, x)
-        try:
-            gams = christoffel(cm, points)
-        except (DomainError, InversionError):
-            return undefined
-        return chart.frame_tensors(x, gams[0], riemann_from_stencil(gams, h),
-                                   lengths)
-
-    return tensors
-
-
-def _closed_form_rhs(chart: Chart, jacobi: bool):
-    """d(x, w)/dtau, or d(x, w, J, K)/dtau when ``jacobi``, on the chart's
-    closed-form frame forms, as a list.
+def _closed_form_rhs(chart: Chart, omega: np.ndarray, curvature: np.ndarray,
+                     jacobi: bool):
+    """d(x, w)/dtau, or d(x, w, J, K)/dtau when ``jacobi``, on the constant
+    frame connection ``omega`` and curvature ``curvature``, as a list.
 
     The box of the chart model, the frame rates and the nonzero entries of
-    ``Chart.omega`` and ``Chart.curvature`` are read once, as Python
-    scalars.  Each call then sums dx = E(x) w, dw = -omega(w, w),
-    dJ = K - omega(w, J) and dK = -omega(w, K) - R(J, w)w term by term, each
-    product taken in the order of the dense contractions.  A stage whose x
-    is outside the box (open intervals, so NaN and +-inf are outside) or
-    whose frame length overflows beside a nonzero w_a gets an all-NaN
-    result, which rejects the step; where w_a is exactly 0, dx_a is 0.
+    ``omega`` and ``curvature`` are read once, as Python scalars.  Each call
+    then sums dx = E(x) w, dw = -omega(w, w), dJ = K - omega(w, J) and
+    dK = -omega(w, K) - R(J, w)w term by term, each product taken in the
+    order of the dense contractions.  A stage whose x is outside the box
+    (open intervals, so NaN and +-inf are outside) or whose frame length
+    overflows beside a nonzero w_a gets an all-NaN result, which rejects
+    the step; where w_a is exactly 0, dx_a is 0.
     """
     dim = chart.model.dim
     size = (4 if jacobi else 2) * dim
@@ -293,11 +268,11 @@ def _closed_form_rhs(chart: Chart, jacobi: bool):
     growth = [(a, [(b, r) for b, r in enumerate(row) if r])
               for a, row in enumerate(chart.rates.tolist()) if any(row)]
     # omega^a_bc adds -omega w^b w^c to dw^a, and w^b J^c, w^b K^c likewise.
-    connection = [(w + a, w + b, w + c, float(chart.omega[a, b, c]))
-                  for a, b, c in zip(*np.nonzero(chart.omega))]
+    connection = [(w + a, w + b, w + c, float(omega[a, b, c]))
+                  for a, b, c in zip(*np.nonzero(omega))]
     # Rhat^m_nrs adds -Rhat w^s J^r w^n to dK^m.
-    curvature = [(k + m, w + n, j + r, w + s, float(chart.curvature[m, n, r, s]))
-                 for m, n, r, s in zip(*np.nonzero(chart.curvature))]
+    deviation = [(k + m, w + n, j + r, w + s, float(curvature[m, n, r, s]))
+                 for m, n, r, s in zip(*np.nonzero(curvature))]
 
     def rhs(tau, y):
         y = y.tolist()
@@ -324,32 +299,8 @@ def _closed_form_rhs(chart: Chart, jacobi: bool):
                 dy[a + dim] -= t * y[c + dim]
                 dy[a + 2 * dim] -= t * y[c + 2 * dim]
         if jacobi:
-            for m, n, r, s, value in curvature:
+            for m, n, r, s, value in deviation:
                 dy[m] -= value * y[s] * y[r] * y[n]
-        return dy
-
-    return rhs
-
-
-def _jacobi_rhs(chart: Chart, use_closed_form: bool):
-    """d(x, w, J, K)/dtau on the closed forms (``_closed_form_rhs``) or with
-    the frame tensors of ``_frame_tensors``."""
-    if use_closed_form:
-        return _closed_form_rhs(chart, jacobi=True)
-    dim = chart.model.dim
-    tensors = _frame_tensors(chart)
-
-    def rhs(tau, y):
-        x, w, jac, rate = y[:dim], y[dim:2 * dim], y[2 * dim:3 * dim], y[3 * dim:]
-        e = chart.lengths(x)
-        gam, riem = tensors(x, e)
-        along = w @ gam  # omega^a_bc w^b as the matrix [a, c]
-        drag = -along
-        dy = np.empty(4 * dim)
-        dy[:dim] = e * w
-        dy[dim:2 * dim] = drag @ w
-        dy[2 * dim:3 * dim] = rate - along @ jac
-        dy[3 * dim:] = drag @ rate - ((riem @ w) @ jac) @ w
         return dy
 
     return rhs
@@ -421,8 +372,9 @@ def integrate_geodesic(model: ManifoldModel, theta0, v0, tau_max: float,
     chart = _chart_of(model)
     grid = np.linspace(0.0, float(tau_max), int(samples))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        states, solver = _integrate_on_grid(_closed_form_rhs(chart, jacobi=False),
-                                            _chart_state(chart, th0, v0), grid, tol)
+        rhs = _closed_form_rhs(chart, chart.omega, chart.curvature, jacobi=False)
+        states, solver = _integrate_on_grid(rhs, _chart_state(chart, th0, v0),
+                                            grid, tol)
         return _result(model, chart, grid, states, solver)
 
 
@@ -438,6 +390,15 @@ def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
     field is divided by the power of two nearest the larger g-norm of J0
     and K0 and multiplied back, both exactly: the error control then
     resolves a field of any size, and one of g-norm near 1 is unchanged.
+
+    The right-hand side runs on the chart's constant frame forms,
+    ``Chart.omega`` and ``Chart.curvature``.  With ``use_closed_form=False``
+    it takes them instead by central differences of the chart metric, once,
+    at the start point: on a chart the frame forms are the same at every
+    point, so this checks the closed forms against derivatives of the
+    metric without differencing it again at each stage, which would fail
+    only where e^{-2u} leaves float64 deep in a complete chart.  Forms that
+    are not finite there raise SingularityError with the start state.
     """
     if traj.model_name != model.name:
         raise ShapeError(
@@ -449,8 +410,17 @@ def integrate_jacobi(model: ManifoldModel, traj: GeodesicTrajectory, J0, dJ0,
     scale = 2.0 ** round(min(math.log2(size), 1023.0)) if size > 0.0 else 1.0
     y0[2 * model.dim:] /= scale
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        forms = chart.omega, chart.curvature
+        if not use_closed_form:
+            x0 = y0[:model.dim]
+            forms = chart.frame_tensors(x0, christoffel(chart.model, x0),
+                                        riemann(chart.model, x0))
+            if not all(np.isfinite(f).all() for f in forms):
+                raise SingularityError(
+                    "finite-difference frame forms are not finite at the start "
+                    f"point x={x0.tolist()}", last_state=(0.0, y0.copy()))
         states, solver = _integrate_on_grid(
-            _jacobi_rhs(chart, use_closed_form), y0, traj.tau_grid, tol)
+            _closed_form_rhs(chart, *forms, jacobi=True), y0, traj.tau_grid, tol)
         states[:, 2 * model.dim:] *= scale
         return _result(model, chart, traj.tau_grid, states, solver)
 

@@ -8,15 +8,14 @@ closed forms on a copy without them.  The curvature convention is
 reads R^m_{nrs} v^n J^r v^s and negative sectional curvature means
 exponential spreading of nearby geodesics.
 
-Each finite-difference evaluation is one stacked pass: the points and
+Each finite-difference evaluation is one stacked pass: the point, or the
+points of its curvature stencil (the point and its 2*dim shifts), and
 every point's own stencil are checked against the domain and go to
 ``ManifoldModel.metric`` as one stack, followed by one batched inverse.
-The curvature stencil of a point (the point and its 2*dim shifts) gives
-the connection there (row 0) and the curvature from all rows, so
-connection and curvature together cost one pass.  Steps are
-fd_step * max(1, |theta|) on scale coordinates, domain (0, inf), and
-plain fd_step on the others.  A finite-difference Jacobi right-hand side
-makes one such pass on the chart model.
+The curvature stencil gives the connection at the point (row 0) and the
+curvature from all rows, so connection and curvature together cost one
+pass.  Steps are fd_step * max(1, |theta|) on scale coordinates, domain
+(0, inf), and plain fd_step on the others.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InversionError, ShapeError
+from .errors import DomainError, InversionError
 from .manifold import ManifoldModel
 
 DEFAULT_FD_STEP = 1e-4
@@ -122,27 +121,11 @@ def _fd_tensors(model: ManifoldModel, th: np.ndarray,
 
 def christoffel(model: ManifoldModel, theta,
                 fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Levi-Civita connection Gamma[a, b, c] = Gamma^a_{bc}.
-
-    ``theta`` may also be a (k, dim) stack of points, giving Gamma at each
-    row; finite differences then evaluate every row's stencil in one
-    metric call with one batched inverse.
-    """
-    arr = np.asarray(theta, dtype=float)
-    closed = model.christoffel_fn is not None
-    if arr.ndim != 2:
-        th = model.check_point(arr)
-        if closed:
-            return np.asarray(model.christoffel_fn(th), dtype=float)
-        return _fd_christoffel(model, th[None, :], fd_step)[0]
-    if arr.shape[1] != model.dim or not len(arr):
-        raise ShapeError(
-            f"model {model.name!r} takes a (k, {model.dim}) stack of points "
-            f"with k >= 1, got shape {arr.shape}")
-    if not closed:
-        return _fd_christoffel(model, arr, fd_step)
-    return np.array([model.christoffel_fn(model.check_point(p)) for p in arr],
-                    dtype=float)
+    """Levi-Civita connection Gamma[a, b, c] = Gamma^a_{bc}."""
+    th = model.check_point(theta)
+    if model.christoffel_fn is not None:
+        return np.asarray(model.christoffel_fn(th), dtype=float)
+    return _fd_christoffel(model, th[None, :], fd_step)[0]
 
 
 def riemann(model: ManifoldModel, theta,

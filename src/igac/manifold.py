@@ -184,14 +184,11 @@ class Chart:
         """g-norms of frame components, free of overflow in the squares."""
         return np.hypot.reduce(w * np.sqrt(self.frame_metric), axis=-1)
 
-    def frame_tensors(self, x, gam: np.ndarray, riem: np.ndarray,
-                      lengths: np.ndarray | None = None
+    def frame_tensors(self, x, gam: np.ndarray, riem: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Frame components of a connection and of a curvature tensor given
-        in chart coordinates, with nabla_{e_b} e_c = omega^a_bc e_a.
-        ``lengths`` are the frame lengths at x, when the caller has them
-        already."""
-        e = self.lengths(x) if lengths is None else lengths
+        in chart coordinates, with nabla_{e_b} e_c = omega^a_bc e_a."""
+        e = self.lengths(x)
         pairs = e[:, None] * e  # e_b e_c, and e_n e_r
         omega = gam * (pairs / e[:, None, None])
         # e_c's length varies along e_b: + delta^a_c e_b d_b log|e_c|.
@@ -351,11 +348,13 @@ def _power_terms(rank: int, index: np.ndarray, coef: np.ndarray,
     but at the flat indices ``index``, where term t adds
     coef[t] / prod_j theta[cols[j]]^power[t, j].  Only these entries are
     computed, each from one power product, so none overflows in an
-    intermediate or meets a zero as 0 * inf."""
+    intermediate or meets a zero as 0 * inf.  Past float64's range an entry
+    reads inf or 0, without a warning."""
     *lead, dim = theta.shape
     out = np.zeros((*lead, dim ** rank))
-    np.add.at(out, (..., index), coef / np.multiply.reduce(
-        theta[..., None, cols] ** power, axis=-1))
+    with np.errstate(over="ignore", divide="ignore"):
+        np.add.at(out, (..., index), coef / np.multiply.reduce(
+            theta[..., None, cols] ** power, axis=-1))
     return out.reshape(*lead, *(dim,) * rank)
 
 

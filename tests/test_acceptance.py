@@ -6,7 +6,6 @@ lines; each test asserts its stated tolerance and runtime budget.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -20,12 +19,9 @@ from igac import (analyze_chain, chaotic_model, christoffel, curvature,
 from igac.geometry import _metric_partials
 from igac.spinchain import ChainSpec
 
+from conftest import fd_view
+
 SQRT2 = math.sqrt(2.0)
-
-
-def fd_view(mdl):
-    """The model without its closed forms, so geometry differences it."""
-    return replace(mdl, christoffel_fn=None, riemann_fn=None)
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:

@@ -558,21 +558,37 @@ def test_metric_far_out_point_exits_0(tmp_path):
         {"nodes", "quad_tol"})
 
 
-def test_metric_outside_float64_exits_4(tmp_path, capsys):
-    # At sigma = 1e-300 the metric, 1/sigma^2, is not a float64; at 1e-100
-    # it is, and so is the relative error, though its squares are not.
+@pytest.mark.parametrize("sigma", ["1e-300", "1e+300"])
+def test_metric_outside_float64_exits_4(tmp_path, capsys, sigma):
+    # At sigma = 1e-300 the metric, 1/sigma^2, overflows; at 1e300 it
+    # underflows to the zero matrix, which a positive-definite metric never
+    # is.  At 1e-100 it is a float64, and so is the relative error, though
+    # its squares are not.
     out = tmp_path / "m"
     rc, err = run(["metric", "--family", "gaussian", "--point",
-                   "mu=0,sigma=1e-300", "--out", str(out)], capsys)
+                   f"mu=0,sigma={sigma}", "--out", str(out)], capsys)
     assert rc == 4
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "numerical"
-    assert "sigma=1e-300" in payload["message"]
+    assert f"sigma={sigma}" in payload["message"]
     assert not (out / "metric.json").exists()
     assert main(["metric", "--family", "gaussian", "--point",
                  "mu=0,sigma=1e-100", "--out", str(out)]) == 0
     text = (out / "metric.json").read_text(encoding="utf-8")
     assert json.loads(text, parse_constant=pytest.fail)["max_rel_error"] < 1e-13
+
+
+@pytest.mark.parametrize("sigma", ["1e-300", "1e300"])
+def test_metric_outside_float64_writes_only_the_json_error(tmp_path, sigma):
+    # No numpy warning reaches standard error ahead of the error object.
+    src = str(Path(igac.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "igac.cli", "metric", "--family", "gaussian",
+         "--point", f"mu=0,sigma={sigma}", "--out", str(tmp_path / "m")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 4
+    assert json.loads(out.stderr)["error"] == "numerical"
+    assert not (tmp_path / "m").exists()
 
 
 def test_stationary_ige_is_a_numerical_failure(tmp_path, capsys):

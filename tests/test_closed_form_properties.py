@@ -3,7 +3,6 @@ independent numerics at points drawn from the whole sampling box."""
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +17,10 @@ from igac.families import KINDS
 from igac.ige import _log_volume_element
 from igac.quadrature import support_rule
 
+from conftest import fd_view
+
 NAMES = ("exponential", "wigner_dyson", "gaussian",
          "composite_integrable", "composite_chaotic")
-
-
-def fd_view(mdl):
-    """The model without its closed forms, so geometry differences it."""
-    return replace(mdl, christoffel_fn=None, riemann_fn=None)
 
 
 def draw_point(data, mdl):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -361,6 +361,47 @@ def test_a_field_far_below_the_tolerance_follows_the_exact_flow():
     assert lam == pytest.approx(5.0 / SQRT2, rel=1e-5)
 
 
+@st.composite
+def deep_draws(draw):
+    """A start in the sampling box of the Gaussian or chaotic model and a
+    velocity of g-speed log-uniform in [0.1, 10^1.99], whose geodesic over
+    tau = 10 can reach sigma far below float64's range of e^{-2u}.  Near
+    g-speed 100 a Gaussian field grows like e^{707} by tau = 10, and the
+    walk's stage sums overflow on either right-hand side."""
+    name = draw(st.sampled_from(("gaussian", "chaotic")))
+    mdl = model(name)
+    theta0 = draw(st.tuples(*(st.floats(lo, hi) for lo, hi in mdl.sample_box)))
+    w = np.array(draw(st.tuples(*(st.floats(-1.0, 1.0),) * mdl.dim)))
+    if np.linalg.norm(w) < 1e-3:
+        w = np.eye(mdl.dim)[0]
+    speed = 10.0 ** draw(st.floats(-1.0, 1.99))
+    # v = L^-T w / |w| has g-norm 1 when g = L L^T.
+    chol = np.linalg.cholesky(mdl.metric(theta0))
+    return name, theta0, speed * np.linalg.solve(chol.T, w / np.linalg.norm(w))
+
+
+@settings(max_examples=30, deadline=None)
+@given(draw=deep_draws())
+@example(draw=("gaussian", (-1.1013, 2.8555), (76.6245, -118.3237)))
+def test_finite_difference_jacobi_runs_to_the_end_on_deep_draws(draw):
+    # The finite-difference forms are taken at the start, so a run whose
+    # sigma leaves float64's range of the chart metric e^{-2u} completes,
+    # and its lambda_J is the closed-form run's.  The explicit draw raised
+    # SingularityError while the metric was differenced at every stage.
+    name, theta0, v0 = draw
+    mdl = model(name)
+    chol = np.linalg.cholesky(mdl.metric(theta0))
+    w = chol.T @ np.asarray(v0)
+    perp = (np.array([-w[1], w[0]]) if mdl.dim == 2
+            else np.cross(w, np.eye(3)[int(np.argmin(np.abs(w)))]))
+    kick = np.linalg.solve(chol.T, perp / np.linalg.norm(perp))
+    base = integrate_geodesic(mdl, theta0, v0, 10.0, samples=64)
+    lams = [estimate_lambda_j(integrate_jacobi(
+        mdl, base, np.zeros(mdl.dim), kick, use_closed_form=closed),
+        (10.0 / 3.0, 10.0)).lambda_j for closed in (True, False)]
+    assert lams[1] == pytest.approx(lams[0], rel=1e-7, abs=0.0)
+
+
 @pytest.mark.parametrize("name", ["integrable", "chaotic", "gaussian", "euclidean"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
@@ -394,7 +435,8 @@ def test_closed_form_right_hand_sides_match_the_dense_expressions(name, data):
             a_along @ a_rate + ((np.abs(chart.curvature) @ a_w) @ a_jac) @ a_w])
     tolerance = 8 * np.finfo(float).eps * terms + 8 * np.finfo(float).smallest_subnormal
     for jacobi, size in ((False, 2 * dim), (True, 4 * dim)):
-        got = np.array(_closed_form_rhs(chart, jacobi)(0.0, y[:size]))
+        got = np.array(_closed_form_rhs(chart, chart.omega, chart.curvature,
+                                        jacobi)(0.0, y[:size]))
         assert got.shape == (size,)
         if not chart.model.contains(x):
             assert np.isnan(got).all()
@@ -574,8 +616,9 @@ def test_lambda_j_window_validation():
 def test_solver_statistics_count_every_right_hand_side(monkeypatch, name, closed):
     # rhs_calls counts every right-hand side the walk evaluates, on the
     # geodesic and on both deviation paths.  The closed forms make no call
-    # into geometry; each finite-difference right-hand side makes exactly
-    # one call through the christoffel name bound in igac.dynamics.
+    # into geometry; a finite-difference run takes its frame forms at the
+    # start, with exactly one call through the christoffel name bound in
+    # igac.dynamics.
     import igac.dynamics as dyn
     rhs_calls, christoffel_calls = [0], [0]
     walk, christoffel = dyn._integrate_on_grid, dyn.christoffel
@@ -601,7 +644,7 @@ def test_solver_statistics_count_every_right_hand_side(monkeypatch, name, closed
     traj = integrate_jacobi(mdl, base, np.zeros(mdl.dim), np.ones(mdl.dim),
                             use_closed_form=closed)
     counts.append((traj.solver, rhs_calls[0], christoffel_calls[0],
-                   0 if closed else rhs_calls[0]))
+                   0 if closed else 1))
     for stats, counted_rhs, counted_christoffel, expected_christoffel in counts:
         assert stats.rhs_calls == counted_rhs
         assert stats.rhs_calls == 1 + 6 * (stats.accepted + stats.rejected)
@@ -655,14 +698,23 @@ def test_geodesic_stage_outside_the_chart_rejects_the_step():
 
 
 @pytest.mark.parametrize("wall", ["singular", "inf", "nan", "domain"])
-def test_finite_differences_reject_steps_into_a_bad_stencil(wall):
-    # x0 = tau reaches the wall at tau = 1: every stage of the deviation
-    # right-hand side whose stencil crosses it is rejected, and the run
-    # ends in SingularityError before it.
+def test_finite_differences_reject_steps_into_a_bad_stencil(wall, monkeypatch):
+    # The finite-difference frame forms are taken once, at the start: from
+    # a start past a wall in the metric (singular, inf or NaN past x0 = 1)
+    # the run is a numerical failure before any step.  Where the domain
+    # ends at x0 = 1 instead, x0 = tau reaches it at tau = 1: every stage
+    # past it is rejected, and the run ends in SingularityError before it.
     mdl = walled_chart(wall)
-    base = integrate_geodesic(walled_chart("none"), (0.0, 0.0), (1.0, 0.0),
+    start = 0.0 if wall == "domain" else 2.0
+    base = integrate_geodesic(walled_chart("none"), (start, 0.0), (1.0, 0.0),
                               3.0, samples=16)
-    with pytest.raises(SingularityError) as err:
+    if wall != "domain":
+        monkeypatch.setattr(dynamics, "_integrate_on_grid",
+                            lambda *args: pytest.fail("the walk started"))
+    with pytest.raises(IgacError) as err:
         integrate_jacobi(mdl, base, (0.0, 0.0), (0.0, 1.0),
                          use_closed_form=False)
-    assert err.value.last_state[0] <= 1.0
+    assert isinstance(err.value, ArithmeticError)
+    if wall == "domain":
+        assert isinstance(err.value, SingularityError)
+        assert err.value.last_state[0] <= 1.0

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +9,10 @@ from hypothesis.extra.numpy import arrays
 from igac import (chaotic_model, christoffel, curvature, euclidean_model,
                   family, gaussian_model, integrable_model, model,
                   model_from_family, riemann, scalar_sign_classification)
-from igac.dynamics import _frame_tensors
 from igac.errors import DomainError, ShapeError
-from igac.geometry import (DEFAULT_FD_STEP, _steps, curvature_stencil,
-                           riemann_from_stencil)
+from igac.geometry import DEFAULT_FD_STEP, _steps, riemann_from_stencil
 
-
-def fd_view(mdl):
-    """The model without its closed forms, so geometry differences it."""
-    return replace(mdl, christoffel_fn=None, riemann_fn=None)
+from conftest import fd_view
 
 
 def test_christoffel_integrable_analytic():
@@ -234,35 +228,13 @@ def test_stacked_pass_is_bitwise_the_separate_passes(name, data):
     mdl = theta_model(name)
     th = np.array(data.draw(st.tuples(
         *(st.floats(lo, hi) for lo, hi in mdl.sample_box))))
-    gam, riem = separate_passes(mdl, th, DEFAULT_FD_STEP)
+    _, riem = separate_passes(mdl, th, DEFAULT_FD_STEP)
     assert bitwise_equal(riemann(fd_view(mdl), th), riem)
-    points, h = curvature_stencil(mdl, th)
-    gams = christoffel(fd_view(mdl), points)
-    assert bitwise_equal(gams[0], gam)
-    assert bitwise_equal(riemann_from_stencil(gams, h), riem)
     # The report's tensors come from the halved step, in one pass.
     rep = curvature(fd_view(mdl), th)
     gam_half, riem_half = separate_passes(mdl, th, DEFAULT_FD_STEP / 2.0)
     assert bitwise_equal(rep.christoffel, gam_half)
     assert bitwise_equal(rep.riemann, riem_half)
-
-
-@pytest.mark.parametrize("name", CHART_MODELS)
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_stacked_chart_pass_is_bitwise_the_separate_passes(name, data):
-    # What the finite-difference Jacobi right-hand side sees, at chart
-    # depths down to u = -300.
-    mdl = model(name)
-    chart = mdl.chart
-    x = np.array([data.draw(st.floats(-300.0, 5.0)) if log
-                  else data.draw(st.floats(lo, hi))
-                  for log, (lo, hi) in zip(chart.log_scale, mdl.sample_box)])
-    gam, riem = separate_passes(chart.model, x, DEFAULT_FD_STEP)
-    omega, curv = _frame_tensors(chart)(x)
-    expected = chart.frame_tensors(x, gam, riem)
-    assert bitwise_equal(omega, expected[0])
-    assert bitwise_equal(curv, expected[1])
 
 
 @pytest.mark.parametrize("name", CHART_MODELS)
@@ -325,21 +297,19 @@ def test_chart_models_are_differenced(name):
                          christoffel(fd_view(chart.model), x))
 
 
-def test_christoffel_on_a_stack_of_points():
+def test_christoffel_names_a_bad_point():
+    # A point outside the domain names its coordinate; a point of the wrong
+    # size, or a stack of points, is a ShapeError.
     mdl = chaotic_model()
     points = mdl.random_points(4, seed=41)
-    for view in (mdl, fd_view(mdl)):
-        stacked = christoffel(view, points)
-        assert stacked.shape == (4, 3, 3, 3)
-        for p, gam in zip(points, stacked):
-            assert bitwise_equal(gam, christoffel(view, p))
-    points[2, 2] = -1.0  # sigma_B below zero
+    bad = points[2].copy()
+    bad[2] = -1.0  # sigma_B below zero
     for view in (mdl, fd_view(mdl)):
         with pytest.raises(DomainError, match="sigma_B"):
-            christoffel(view, points)
-        for bad in (points[:, :2], points[:0]):
+            christoffel(view, bad)
+        for wrong in (points[0, :2], points[:0], points):
             with pytest.raises(ShapeError):
-                christoffel(view, bad)
+                christoffel(view, wrong)
 
 
 @pytest.mark.parametrize("depth", [-30.0, -300.0])
