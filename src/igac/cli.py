@@ -441,6 +441,14 @@ def cmd_ige(cfg: dict) -> int:
 
 
 def cmd_chain(cfg: dict) -> int:
+    # spinchain checks these too, but under its own parameter names, and
+    # the histogram only after the tables are written.
+    if not 0.0 <= cfg["trim"] < 0.3:
+        raise ValidationError(f"trim must be in [0, 0.3), got {cfg['trim']}",
+                              field="trim")
+    if cfg["plot"] and cfg["bins"] < 5:
+        raise ValidationError(f"bins must be >= 5, got {cfg['bins']}",
+                              field="bins")
     spec = spinchain.ChainSpec(cfg["n"], cfg["hx"], cfg["hy"],
                                sector=cfg["sector"])
     record = spinchain.analyze_chain(spec, poly_degree=cfg["poly_degree"],

@@ -8,14 +8,14 @@ closed forms on a copy without them.  The curvature convention is
 reads R^m_{nrs} v^n J^r v^s and negative sectional curvature means
 exponential spreading of nearby geodesics.
 
-Each finite-difference evaluation is one stacked pass: the point, or the
-points of its curvature stencil (the point and its 2*dim shifts), and
-every point's own stencil are checked against the domain and go to
-``ManifoldModel.metric`` as one stack, followed by one batched inverse.
-The curvature stencil gives the connection at the point (row 0) and the
-curvature from all rows, so connection and curvature together cost one
-pass.  Steps are fd_step * max(1, |theta|) on scale coordinates, domain
-(0, inf), and plain fd_step on the others.
+Finite differences work on one point at a time.  The metric and its
+partial derivatives come from one ``ManifoldModel.metric`` call on the
+point and its 2*dim shifts, the connection from those and one inverse,
+and the curvature from central differences of the connection at the
+shifted points.  Steps are fd_step * max(1, |theta|) on scale
+coordinates, domain (0, inf), and plain fd_step on the others; a point
+is differenced only where every point its metric is taken at lies
+inside the domain.
 """
 
 from __future__ import annotations
@@ -30,34 +30,19 @@ from .manifold import ManifoldModel
 DEFAULT_FD_STEP = 1e-4
 
 
-def _steps(model: ManifoldModel, theta: np.ndarray, fd_step: float) -> np.ndarray:
-    """Central-difference steps at a point or each row of a stack:
-    fd_step * max(1, |theta|) on a scale coordinate (domain (0, inf)), and
-    plain fd_step on any other, a location or a log-scale chart coordinate."""
-    return fd_step * np.maximum(1.0, np.abs(theta) * model._step_scale)
-
-
-def _stencil_metric(model: ManifoldModel, points: np.ndarray,
-                    h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g[k] and dg[k, l, m, n] = d g_mn / d theta_l at each row k of
-    ``points``, by central differences with steps ``h[k]``; the whole
-    stencil goes to the metric as one stack, once inside the domain."""
-    k, dim = points.shape
-    shifts = h[:, :, None] * np.eye(dim)  # shifts[k, l] = h[k, l] e_l
-    centre = points[:, None, :]
-    stencil = np.concatenate([centre, centre + shifts, centre - shifts], axis=1)
-    if not model.contains(stencil):
-        for p in points:  # names a coordinate outside the domain, if any
-            model.check_point(p)
-        raise DomainError(
-            f"point {points[0].tolist()} is closer than the differencing step "
-            f"to the boundary of model {model.name!r}")
-    g = model.metric(stencil.reshape(-1, dim)).reshape(k, 2 * dim + 1, dim, dim)
-    return g[:, 0], (g[:, 1:dim + 1] - g[:, dim + 1:]) / (2.0 * h)[:, :, None, None]
+def _stencil(model: ManifoldModel, th: np.ndarray,
+             fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The point th, then th + h_r e_r and th - h_r e_r for r = 0..dim-1,
+    one per row, and the steps h: fd_step * max(1, |theta|) on a scale
+    coordinate (domain (0, inf)), plain fd_step on any other, a location
+    or a log-scale chart coordinate."""
+    h = fd_step * np.maximum(1.0, np.abs(th) * model._step_scale)
+    shifts = np.diag(h)
+    return np.concatenate([th[None, :], th + shifts, th - shifts]), h
 
 
 def _inverse(model: ManifoldModel, g: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The inverse of the metric ``g``, or of each in a stack, at ``theta``."""
+    """The inverse of the metric ``g`` at ``theta``."""
     try:
         return np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
@@ -66,40 +51,40 @@ def _inverse(model: ManifoldModel, g: np.ndarray, theta: np.ndarray) -> np.ndarr
         ) from exc
 
 
-def _metric_partials(model: ManifoldModel, theta: np.ndarray,
-                     fd_step: float) -> np.ndarray:
-    """dg[l, m, n] = d g_mn / d theta_l by central differences."""
-    th = np.asarray(theta, dtype=float)[None, :]
-    return _stencil_metric(model, th, _steps(model, th, fd_step))[1][0]
+def _metric_partials(model: ManifoldModel, th: np.ndarray, fd_step: float,
+                     origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g and dg[l, m, n] = d g_mn / d theta_l at th by central differences,
+    from one metric call on th's stencil; errors name ``origin``, th or the
+    centre of the Riemann stencil that th is a point of."""
+    points, h = _stencil(model, th, fd_step)
+    if not model.contains(points):
+        raise DomainError(
+            f"point {origin.tolist()} is closer than the differencing step "
+            f"to the boundary of model {model.name!r}")
+    g = model.metric(points)
+    dim = len(h)
+    return g[0], (g[1:dim + 1] - g[dim + 1:]) / (2.0 * h)[:, None, None]
 
 
-def _fd_christoffel(model: ManifoldModel, points: np.ndarray,
-                    fd_step: float) -> np.ndarray:
-    """Gamma[k, a, b, c] at each row k of ``points`` by central differences."""
-    k, dim = points.shape
-    g, dg = _stencil_metric(model, points, _steps(model, points, fd_step))
+def _fd_christoffel(model: ManifoldModel, th: np.ndarray, fd_step: float,
+                    origin: np.ndarray) -> np.ndarray:
+    """Gamma[a, b, c] at th by central differences; errors name ``origin``."""
+    g, dg = _metric_partials(model, th, fd_step, origin)
+    dim = len(th)
     # Gamma^a_bc = 1/2 g^{al} (d_b g_lc + d_c g_lb - d_l g_bc)
-    bracket = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
-    ginv = _inverse(model, g, points[0])
-    return 0.5 * (ginv @ bracket.reshape(k, dim, dim * dim)).reshape(dg.shape)
+    bracket = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    ginv = _inverse(model, g, origin)
+    return 0.5 * (ginv @ bracket.reshape(dim, dim * dim)).reshape(dg.shape)
 
 
-def curvature_stencil(model: ManifoldModel, theta: np.ndarray,
-                      fd_step: float = DEFAULT_FD_STEP
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The points theta, theta + h_r e_r and theta - h_r e_r (one per row,
-    r = 0..dim-1) and the steps h.  The Christoffel symbols at these rows
-    give the connection at theta (row 0) and, through
-    ``riemann_from_stencil``, the curvature there."""
-    th = np.asarray(theta, dtype=float)
-    h = _steps(model, th, fd_step)
-    shifts = np.diag(h)
-    return np.concatenate([th[None, :], th + shifts, th - shifts]), h
-
-
-def riemann_from_stencil(gams: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """R[m, n, r, s] = R^m_{nrs} from the Christoffel symbols ``gams`` at
-    the rows of a ``curvature_stencil`` with steps ``h``."""
+def _fd_riemann(model: ManifoldModel, th: np.ndarray,
+                fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma and R[m, n, r, s] = R^m_{nrs} at th: R from the central
+    differences of Gamma at th +/- h_r e_r, plus its quadratic terms."""
+    points, h = _stencil(model, th, fd_step)
+    for p in points[1:]:  # names a coordinate outside the domain, if any
+        model.check_point(p)
+    gams = np.array([_fd_christoffel(model, p, fd_step, th) for p in points])
     dim = len(h)
     gam = gams[0]
     # dG[r, a, b, c] = d Gamma^a_{bc} / d theta_r
@@ -107,16 +92,7 @@ def riemann_from_stencil(gams: np.ndarray, h: np.ndarray) -> np.ndarray:
     # d_r G^m_sn - d_s G^m_rn + G^m_rl G^l_sn - (the same with r, s swapped)
     term_d = dG.transpose(1, 3, 0, 2) - dG.transpose(1, 3, 2, 0)
     quad = np.einsum("mrl,lsn->mnrs", gam, gam)
-    return term_d + (quad - quad.transpose(0, 1, 3, 2))
-
-
-def _fd_tensors(model: ManifoldModel, th: np.ndarray,
-                fd_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma and R at a validated point from one stacked pass over its
-    curvature stencil: one metric call, one batched inverse."""
-    points, h = curvature_stencil(model, th, fd_step)
-    gams = _fd_christoffel(model, points, fd_step)
-    return gams[0], riemann_from_stencil(gams, h)
+    return gam, term_d + (quad - quad.transpose(0, 1, 3, 2))
 
 
 def christoffel(model: ManifoldModel, theta,
@@ -125,20 +101,16 @@ def christoffel(model: ManifoldModel, theta,
     th = model.check_point(theta)
     if model.christoffel_fn is not None:
         return np.asarray(model.christoffel_fn(th), dtype=float)
-    return _fd_christoffel(model, th[None, :], fd_step)[0]
+    return _fd_christoffel(model, th, fd_step, th)
 
 
 def riemann(model: ManifoldModel, theta,
             fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Curvature tensor R[m, n, r, s] = R^m_{nrs}.
-
-    Finite differences take the connection on the ``curvature_stencil``
-    in one stacked pass and assemble R with ``riemann_from_stencil``.
-    """
+    """Curvature tensor R[m, n, r, s] = R^m_{nrs}."""
     th = model.check_point(theta)
     if model.riemann_fn is not None:
         return np.asarray(model.riemann_fn(th), dtype=float)
-    return _fd_tensors(model, th, fd_step)[1]
+    return _fd_riemann(model, th, fd_step)[1]
 
 
 @dataclass(frozen=True)
@@ -198,15 +170,14 @@ def curvature(model: ManifoldModel, theta,
     """Full curvature report; finite differences carry a step-halving check.
 
     On the finite-difference path the reported tensors come from the
-    halved step (the more accurate of the two evaluations), Gamma and R
-    from one stacked pass.
+    halved step, the more accurate of the two evaluations.
     """
     th = model.check_point(theta)
     if model.riemann_fn is not None:
         gam, riem = christoffel(model, th, fd_step), riemann(model, th, fd_step)
         return _assemble(model, th, gam, riem, None)
     coarse = riemann(model, th, fd_step)
-    gam, riem = _fd_tensors(model, th, fd_step / 2.0)
+    gam, riem = _fd_riemann(model, th, fd_step / 2.0)
     return _assemble(model, th, gam, riem, coarse)
 
 

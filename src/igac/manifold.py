@@ -44,7 +44,7 @@ class ManifoldModel:
     ``metric_fn`` maps a coordinate vector to a symmetric positive
     definite (dim x dim) matrix, and a (k, dim) stack of points to the
     (k, dim, dim) stack of their metrics; ``metric`` takes either, so that
-    finite differences evaluate a whole stencil in one call.
+    finite differences take a point and its 2*dim shifts in one call.
     ``christoffel_fn``/``riemann_fn`` are optional closed forms in the
     same coordinates: ``geometry`` uses them where given and differences
     the metric where not, so they are also the oracles of that pipeline;
@@ -69,12 +69,6 @@ class ManifoldModel:
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
         box = np.asarray(self.domain, dtype=float).reshape(self.dim, 2)
         return box[:, 0], box[:, 1]
-
-    @cached_property
-    def _unbounded(self) -> bool:
-        """Whether the domain is all of R^dim, inside which is finite."""
-        lo, hi = self._bounds
-        return bool(np.all(lo == -math.inf) and np.all(hi == math.inf))
 
     @cached_property
     def _step_scale(self) -> np.ndarray:
@@ -106,13 +100,12 @@ class ManifoldModel:
     def contains(self, theta) -> bool:
         """Whether a point, or every row of a stack of points, is inside."""
         arr = np.asarray(theta, dtype=float)
-        if self._unbounded and arr.shape[-1:] == (self.dim,):
-            return bool(np.isfinite(arr).all())
         return (arr.shape[-1:] == (self.dim,)
                 and np.count_nonzero(self._inside(arr)) == arr.size)
 
     def metric(self, theta) -> np.ndarray:
-        """The metric at a point, or at each row of a (k, dim) stack of points."""
+        """The metric at a point, or at each row of a (k, dim) stack of
+        points, such as a finite-difference stencil or a grid."""
         arr = np.asarray(theta, dtype=float)
         g = np.asarray(self.metric_fn(arr), dtype=float)
         expected = (*arr.shape[:-1], self.dim, self.dim)
@@ -144,10 +137,10 @@ class Chart:
     Python scalars, and the theta-coordinate forms are derived from them
     when the model is built.  ``model`` is the manifold in chart
     coordinates with the chart metric alone, which ``geometry``
-    differentiates; ``frame_tensors`` turns those coordinate tensors into
-    frame components.  The coordinate maps, ``lengths``,
-    ``theta_lengths`` and ``norms`` take one point or a stack of points,
-    one per row.
+    differentiates one point at a time; ``frame_tensors`` turns the
+    coordinate tensors at one point into frame components.  The
+    coordinate maps, ``lengths``, ``theta_lengths`` and ``norms`` take one
+    point or a stack of points, one per row.
     """
 
     model: ManifoldModel
@@ -192,14 +185,9 @@ class Chart:
         pairs = e[:, None] * e  # e_b e_c, and e_n e_r
         omega = gam * (pairs / e[:, None, None])
         # e_c's length varies along e_b: + delta^a_c e_b d_b log|e_c|.
-        omega.flat[self._a_equals_c] += (self.rates * e).ravel()
+        a = np.arange(len(e))
+        omega[a, :, a] += self.rates * e
         return omega, riem * (pairs[:, :, None] * e / e[:, None, None, None])
-
-    @cached_property
-    def _a_equals_c(self) -> np.ndarray:
-        """Flat indices of the entries [a, b, a], a and b row-major."""
-        a, b = np.divmod(np.arange(self.rates.size), len(self.rates))
-        return (a * len(self.rates) + b) * len(self.rates) + a
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_criterion_7_structural_invariants():
             bianchi = max(bianchi, float(np.max(np.abs(cyc))))
             g = mdl.metric(theta)
             gam = christoffel(fd_view(mdl), theta, fd_step=1e-5)
-            dg = _metric_partials(mdl, theta, 1e-5)
+            _, dg = _metric_partials(mdl, theta, 1e-5, theta)
             nabla = (dg - np.einsum("rlm,rn->lmn", gam, g)
                      - np.einsum("rln,mr->lmn", gam, g))
             compat = max(compat, float(np.max(np.abs(nabla))))

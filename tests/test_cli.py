@@ -304,6 +304,27 @@ def test_chain_resource_guard(tmp_path, capsys, monkeypatch):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "resource"
 
 
+@pytest.mark.parametrize("key, value", [("bins", 3), ("trim", 0.5)])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_chain_checks_bins_and_trim_before_writing(tmp_path, capsys, key,
+                                                   value, source):
+    # A bad --bins or --trim, as a flag or a config key, exits 2 naming that
+    # key, and writes nothing: no tables, no chain.json, no run_config.json.
+    argv = ["chain", "--n", "10", "--plot"]
+    if source == "flag":
+        argv += [f"--{key}", str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "o"
+    rc, err = run(argv + ["--out", str(out)], capsys)
+    assert rc == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "validation" and payload["field"] == key
+    assert not out.exists()
+
+
 def test_report_full_bundle(tmp_path):
     paths = []
     out = tmp_path / "curv"
