@@ -2,12 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igac import (chaotic_model, christoffel, curvature, euclidean_model,
-                  gaussian_model, integrable_model, model, riemann,
-                  scalar_sign_classification)
+                  family, gaussian_model, integrable_model, model,
+                  model_from_family, riemann, scalar_sign_classification)
 from igac.errors import DomainError, ShapeError
-from igac.geometry import DEFAULT_FD_STEP
+from igac.geometry import DEFAULT_FD_STEP, _stencil
 
 from conftest import fd_view
 
@@ -121,11 +123,6 @@ def test_fd_step_richardson_consistency():
         for theta in mdl.random_points(5, seed=31):
             rep = curvature(fd_view(mdl), theta)
             assert rep.scalar_consistency < 1e-4
-            # The report's tensors are those of the halved step.
-            half = DEFAULT_FD_STEP / 2.0
-            assert bitwise_equal(rep.christoffel,
-                                 christoffel(fd_view(mdl), theta, half))
-            assert bitwise_equal(rep.riemann, riemann(fd_view(mdl), theta, half))
 
 
 def test_chaotic_ricci_product_structure():
@@ -189,12 +186,56 @@ def test_stencil_check_is_where_the_stencil_crosses_zero(fn, reach):
             fn(fd, point)
 
 
-# The prebuilt models whose log-scale charts the geodesics are integrated in.
+# Every model in theta coordinates, and the prebuilt models whose log-scale
+# charts the geodesics are integrated in.
+THETA_MODELS = ("integrable", "chaotic", "gaussian", "euclidean",
+                "exponential", "wigner_dyson")
 CHART_MODELS = ("integrable", "chaotic", "gaussian")
+
+
+def theta_model(name):
+    return (model_from_family(family(name))
+            if name in ("exponential", "wigner_dyson") else model(name))
+
+
+def separate_passes(mdl, th, fd_step):
+    """Finite-difference Gamma and R from separate single-point passes:
+    Gamma at theta, Gamma at each theta +/- h_r e_r, and the einsum formula
+    for R^m_nrs = d_r G^m_sn - d_s G^m_rn + G^m_rl G^l_sn - G^m_sl G^l_rn."""
+    def gamma(p):
+        return christoffel(fd_view(mdl), p, fd_step)
+
+    h = _stencil(mdl, th, fd_step)[1]
+    gam = gamma(th)
+    plus = np.array([gamma(p) for p in th + np.diag(h)])
+    minus = np.array([gamma(p) for p in th - np.diag(h)])
+    dG = (plus - minus) / (2.0 * h)[:, None, None, None]
+    riem = ((np.einsum("rmsn->mnrs", dG) - np.einsum("smrn->mnrs", dG))
+            + (np.einsum("mrl,lsn->mnrs", gam, gam)
+               - np.einsum("msl,lrn->mnrs", gam, gam)))
+    return gam, riem
 
 
 def bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", THETA_MODELS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_stacked_pass_is_bitwise_the_separate_passes(name, data):
+    # riemann's transposes against the einsum formula, on Gamma taken
+    # point by point through the public christoffel.
+    mdl = theta_model(name)
+    th = np.array(data.draw(st.tuples(
+        *(st.floats(lo, hi) for lo, hi in mdl.sample_box))))
+    _, riem = separate_passes(mdl, th, DEFAULT_FD_STEP)
+    assert bitwise_equal(riemann(fd_view(mdl), th), riem)
+    # The report's tensors are those of the halved step.
+    rep = curvature(fd_view(mdl), th)
+    gam_half, riem_half = separate_passes(mdl, th, DEFAULT_FD_STEP / 2.0)
+    assert bitwise_equal(rep.christoffel, gam_half)
+    assert bitwise_equal(rep.riemann, riem_half)
 
 
 def test_chart_frame_forms_are_read_only():
