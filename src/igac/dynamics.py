@@ -18,14 +18,19 @@ constant.
 The stepper is the Dormand-Prince 5(4) pair under mixed absolute/relative
 error control.  Inputs are validated once at entry, steps follow the
 tolerance alone, and samples come from the pair's continuous extension
-(Hairer, Norsett & Wanner, Solving ODEs I, II.6).  The walk records each
-accepted step that spans grid nodes and fills those nodes in batches, one
-vectorised evaluation of the extension per batch of about 256 nodes and
-one at the end, with the per-step arithmetic, so the samples are bitwise
-those of filling each step as it is taken.  A stage that leaves
-the chart or float64's range rejects the step; the step-size floor then
-raises SingularityError.  Deviation vectors are co-integrated in
-first-order covariant form,
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6).  The walk keeps the
+state and the seven stages as Python lists of floats and sums each stage
+from the tableau left to right: on states of 4 to 12 numbers numpy's
+per-call overhead would be most of a step, and a BLAS call's summation
+order depends on the kernel OpenBLAS picks at run time, where Python's
+does not, so a trajectory has the same bits on every machine.  The walk
+records each accepted step that spans grid nodes and fills those nodes in
+batches, one vectorised, elementwise evaluation of the extension per
+batch of about 256 nodes and one at the end, with the per-step
+arithmetic, so the samples are bitwise those of filling each step as it
+is taken.  A stage that leaves the chart or float64's range rejects the
+step; the step-size floor then raises SingularityError.  Deviation vectors
+are co-integrated in first-order covariant form,
 
     dJ/dtau = K - omega(v, J),      dK/dtau = -omega(v, K) - R(J, v)v,
 
@@ -35,16 +40,16 @@ the chart's constant frame connection ``Chart.omega``, and the deviation
 equation also its curvature ``Chart.curvature``.  Once per integration
 their nonzero entries (two and four on a Gaussian block, none on a flat
 factor), the frame rates and the chart's box are read as Python scalars;
-each right-hand side then sums those terms in scalar arithmetic, since on
-vectors of length 2 or 3 numpy's per-call overhead would be most of the
-cost.  The deviation equation can instead take omega and R by finite
-differences of the chart metric, as a check on the closed forms: since
-both are constant on the chart, they are taken once, at the start point,
-and the same right-hand side runs on them.
+each right-hand side then takes the walk's list of floats and sums those
+terms in scalar arithmetic, into a new list.  The deviation equation can
+instead take omega and R by finite differences of the chart metric, as a
+check on the closed forms: since both are constant on the chart, they are
+taken once, at the start point, and the same right-hand side runs on them.
 Each trajectory carries the walk's statistics (``SolverStats``).
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -56,25 +61,26 @@ from .errors import (DomainError, InapplicableError, InsufficientDataError,
 from .geometry import christoffel, riemann
 from .manifold import Chart, ManifoldModel
 
-# Dormand-Prince 5(4) tableau; the fifth-order row propagates.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_ERR = _B5 - _B4
+# Dormand-Prince 5(4) tableau as Python floats, zero entries left out; the
+# fifth-order row (the B weights) propagates, and E = B - (fourth-order row).
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
+                          -212 / 729)
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    _B1 - 5179 / 57600, _B3 - 7571 / 16695, _B4 - 393 / 640,
+    _B5 + 92097 / 339200, _B6 - 187 / 2100, -1 / 40)
 # Continuous extension of order 4 (Hairer's DOPRI5 dense output).
-_DENSE = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-                   -10690763975 / 1880347072, 701980252875 / 199316789632,
-                   -1453857185 / 822651844, 69997945 / 29380423])
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423)
 
 
 @dataclass(frozen=True)
@@ -152,9 +158,11 @@ def _fill_dense(out: np.ndarray, grid: np.ndarray, steps: list) -> None:
     """Fill the grid nodes spanned by consecutive accepted steps from the
     pair's continuous extension, vectorised over the steps.
 
-    Each step is (first node, stop, tau, h, y0, y1, ks), and together they
-    span the nodes first[0] to stop[-1]; every node gets the step
-    fraction s = (grid - tau) / h of its own step.
+    Each step is (first node, stop, tau, h, y0, y1, ks), with the states and
+    the seven stages ks as lists of floats, and together they span the nodes
+    first[0] to stop[-1]; every node gets the step fraction
+    s = (grid - tau) / h of its own step.  The dense weights are summed
+    elementwise, not by a BLAS call.
     """
     first, stop, tau, h, y0, y1, ks = zip(*steps)
     at = np.repeat(np.arange(len(steps)), np.subtract(stop, first))
@@ -163,7 +171,8 @@ def _fill_dense(out: np.ndarray, grid: np.ndarray, steps: list) -> None:
     ydiff = np.array(y1) - y0
     bspl = h * ks[:, 0] - ydiff
     r4 = ydiff - h * ks[:, 6] - bspl
-    r5 = h * (_DENSE @ ks)
+    r5 = h * (_D1 * ks[:, 0] + _D3 * ks[:, 2] + _D4 * ks[:, 3]
+              + _D5 * ks[:, 4] + _D6 * ks[:, 5] + _D7 * ks[:, 6])
     nodes = slice(first[0], stop[-1])
     s = ((grid[nodes] - np.array(tau)[at]) / h[at, 0])[:, None]
     s1 = 1.0 - s
@@ -176,52 +185,73 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float
     """Adaptive Dormand-Prince walk: the state at every grid node, and the
     walk's statistics.
 
-    Steps follow the error control alone.  Each accepted step that spans
-    grid nodes is recorded, and the recorded steps' nodes are filled from
-    the continuous extension in one batch once ``_FILL_BATCH`` nodes wait,
-    and at the end of the walk.  A NaN or inf error estimate rejects the
-    step and shrinks it, so a state that leaves float64's range ends in
+    ``rhs`` takes the state as a list of floats and returns its rate as a
+    sequence of floats.  Each stage state is summed from the tableau left
+    to right, skipping its zero entries, with no numpy or BLAS call.  Steps
+    follow the error control alone.  Each accepted step that spans grid
+    nodes is recorded, and the recorded steps' nodes are filled from the
+    continuous extension in one batch once ``_FILL_BATCH`` nodes wait, and
+    at the end of the walk.  A NaN or inf error estimate rejects the step
+    and shrinks it, so a state that leaves float64's range ends in
     SingularityError once the step falls below the floor, 1e-14 of the
     span (at least 1e-14).
     """
     atol = rtol = float(tol)
-    y = np.array(y0, dtype=float)
-    out = np.empty((len(grid), y.size))
+    y = np.asarray(y0, dtype=float).tolist()
+    out = np.empty((len(grid), len(y)))
     out[0] = y
-    tau, end = float(grid[0]), float(grid[-1])
+    nodes = grid.tolist()
+    tau, end = nodes[0], nodes[-1]
     span = end - tau
     h = 1e-2 * span
     floor = 1e-14 * max(1.0, span)
-    ks = np.empty((7, y.size))
-    stages = [(s, _A[s], ks[:s], _C[s]) for s in range(1, 7)]  # ks[:s] a view
-    ks[0] = rhs(tau, y)
+    k1 = rhs(tau, y)
     filled, calls, accepted, rejected, smallest = 1, 1, 0, 0, math.inf
     pending = []  # accepted steps whose nodes wait for _fill_dense
-    while filled < len(grid):
+    while filled < len(nodes):
         last = h >= end - tau
         if last:
             h = end - tau
-        for s, a, earlier, c in stages:
-            ys = y + h * (a @ earlier)
-            ks[s] = rhs(tau + c * h, ys)
-        calls += 6
+        # In each sum a is the state's component and b, c, d, e, f, g, k
+        # are those of the stages k1 to k7.
+        k2 = rhs(tau + _C2 * h, [a + h * (_A21 * b) for a, b in zip(y, k1)])
+        k3 = rhs(tau + _C3 * h, [a + h * (_A31 * b + _A32 * c)
+                                 for a, b, c in zip(y, k1, k2)])
+        k4 = rhs(tau + _C4 * h, [a + h * (_A41 * b + _A42 * c + _A43 * d)
+                                 for a, b, c, d in zip(y, k1, k2, k3)])
+        k5 = rhs(tau + _C5 * h, [
+            a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
+            for a, b, c, d, e in zip(y, k1, k2, k3, k4)])
+        k6 = rhs(tau + h, [
+            a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * f)
+            for a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5)])
         # The last stage's state is the fifth-order solution.
-        err_vec = h * (_ERR @ ks)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(ys))
-        err = math.sqrt(float(np.add.reduce(np.square(err_vec / scale))) / y.size)
+        ys = [a + h * (_B1 * b + _B3 * d + _B4 * e + _B5 * f + _B6 * g)
+              for a, b, d, e, f, g in zip(y, k1, k3, k4, k5, k6)]
+        k7 = rhs(tau + h, ys)
+        calls += 6
+        total = 0.0
+        for a, z, b, d, e, f, g, k in zip(y, ys, k1, k3, k4, k5, k6, k7):
+            a, z = abs(a), abs(z)
+            # a > z is False for a NaN z, so a NaN stage state makes the
+            # error NaN (Python's max(a, z) would return a).
+            q = h * (_E1 * b + _E3 * d + _E4 * e + _E5 * f + _E6 * g + _E7 * k
+                     ) / (atol + rtol * (a if a > z else z))
+            total += q * q
+        err = math.sqrt(total / len(y))
         if err <= 1.0:
             accepted += 1
             smallest = min(smallest, h)
-            stop = (len(grid) if last
-                    else int(grid.searchsorted(tau + h, side="right")))
+            stop = (len(nodes) if last
+                    else bisect.bisect_right(nodes, tau + h))
             if stop > filled:
-                pending.append((filled, stop, tau, h, y, ys, ks.copy()))
+                pending.append((filled, stop, tau, h, y, ys,
+                                (k1, k2, k3, k4, k5, k6, k7)))
                 filled = stop
-                if filled - pending[0][0] >= _FILL_BATCH or filled == len(grid):
+                if filled - pending[0][0] >= _FILL_BATCH or filled == len(nodes):
                     _fill_dense(out, grid, pending)
                     pending = []
-            tau, y = (end if last else tau + h), ys
-            ks[0] = ks[6]  # first same as last, copied out of the stage buffer
+            tau, y, k1 = (end if last else tau + h), ys, k7
         else:
             rejected += 1
         if err > 0.0:
@@ -234,7 +264,7 @@ def _integrate_on_grid(rhs, y0: np.ndarray, grid: np.ndarray, tol: float
                      "finite, so the state left float64's range or the chart")
             raise SingularityError(
                 f"step size underflowed ({h:.3e} < {floor:.3e}) at "
-                f"tau={tau:.6g}{cause}", last_state=(tau, y.copy()))
+                f"tau={tau:.6g}{cause}", last_state=(tau, np.array(y)))
     return out, SolverStats(calls, accepted, rejected,
                             smallest if accepted else None)
 
@@ -249,7 +279,8 @@ def _chart_of(model: ManifoldModel) -> Chart:
 def _closed_form_rhs(chart: Chart, omega: np.ndarray, curvature: np.ndarray,
                      jacobi: bool):
     """d(x, w)/dtau, or d(x, w, J, K)/dtau when ``jacobi``, on the constant
-    frame connection ``omega`` and curvature ``curvature``, as a list.
+    frame connection ``omega`` and curvature ``curvature``: a function of
+    tau and the state as a list of floats, returning a new list.
 
     The box of the chart model, the frame rates and the nonzero entries of
     ``omega`` and ``curvature`` are read once, as Python scalars.  Each call
@@ -275,7 +306,6 @@ def _closed_form_rhs(chart: Chart, omega: np.ndarray, curvature: np.ndarray,
                  for m, n, r, s in zip(*np.nonzero(curvature))]
 
     def rhs(tau, y):
-        y = y.tolist()
         for lo, xi, hi in zip(lows, y, highs):
             if not lo < xi < hi:
                 return [math.nan] * size

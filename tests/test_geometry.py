@@ -175,11 +175,14 @@ def test_fd_tensors_where_only_the_stencil_fits(factory, theta):
 def test_stencil_check_is_where_the_stencil_crosses_zero(fn, reach):
     # Christoffel symbols evaluate the metric one sigma_B step below the
     # point, the Riemann tensor two; the check is at exactly that reach.
+    # Where a Riemann stencil point itself crosses zero (sigma_B = 5e-5),
+    # the error still names the point the caller gave.
     fd = fd_view(chaotic_model())
     sigma = reach * DEFAULT_FD_STEP
     assert np.isfinite(fn(fd, (1000.0, 0.0, sigma * (1.0 + 1e-9)))).all()
-    for below in (sigma, sigma - 0.5 * DEFAULT_FD_STEP):
-        point = [1000.0, 0.0, below]
+    for point in ([1000.0, 0.0, sigma],
+                  [1000.0, 0.0, sigma - 0.5 * DEFAULT_FD_STEP],
+                  [1.0, 0.0, 5e-5]):
         with pytest.raises(DomainError, match=re.escape(
                 f"point {point} is closer than the differencing step to the "
                 "boundary of model 'chaotic'")):
